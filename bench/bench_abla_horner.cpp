@@ -4,11 +4,10 @@
 // specializations of the same loop (core/conv_variants.hpp): the constexpr-W
 // scalar variant and the AVX2 row evaluator that computes the whole weight
 // row from one shared abscissa, 8 segments per instruction
-// (kernels/horner_avx2.cpp). The second half times full forward/adjoint
-// executions with the registry enabled and disabled (PlanConfig
-// specialize_conv) on the LUT and Horner configurations; results go to
-// BENCH_abla_horner.json (window rows "w4".."w8", pipeline rows
-// "<kernel>.d<dim>").
+// (kernels/horner_avx2.cpp). The second half times the convolution sample
+// loop of a plan's constexpr-W variant against its runtime-W sibling on the
+// LUT and Horner configurations; results go to BENCH_abla_horner.json
+// (window rows "w4".."w8", pipeline rows "<kernel>.d<dim>").
 //
 // This TU is deliberately compiled at the baseline ISA (see
 // core/conv_variants.hpp rule 2): including the variant templates from an
@@ -113,17 +112,21 @@ int main() {
                 {"lut_vs_avx2_gain", avx2 ? t_lut / t_avx2 : 0.0}});
   }
 
-  // Full pipeline: the registry on versus the generic loop, on the two
-  // calibrated evaluator pairings (KB+LUT, ES+Horner), dims 2 and 3.
-  std::printf("\n%-12s %12s %12s %8s %12s %12s %8s\n", "shape", "fwd spec", "fwd gen", "gain",
-              "adj spec", "adj gen", "gain");
+  // The convolution sample loop: the plan key's constexpr-W variant versus
+  // its runtime-W sibling, each driven over every task of the same plan
+  // (interp = forward Part 1+2, spread = adjoint Part 1+2, privatized boxes
+  // left out), on the two calibrated evaluator pairings (KB+LUT, ES+Horner),
+  // dims 2 and 3. The *_generic_s fields hold the runtime-W variant's times.
+  std::printf("\n%-12s %12s %12s %8s %12s %12s %8s\n", "shape", "fwd spec", "fwd rt-W", "gain",
+              "adj spec", "adj rt-W", "gain");
   for (const int dim : {2, 3}) {
     const auto dset = make_set(datasets::TrajectoryType::kRandom, row, dim);
     const GridDesc dg = make_grid(dim, row.n, 2.0);
-    const cvecf img = random_values(dg.image_elems(), 1);
+    const auto st = dg.grid_strides();
     const cvecf raw = random_values(dset.count(), 2);
+    const cvecf grid_in = random_values(dg.grid_elems(), 1);
     cvecf out_raw(raw.size());
-    cvecf out_img(img.size());
+    cvecf grid_out(grid_in.size());
     for (const bool use_horner : {false, true}) {
       PlanConfig cfg = optimized_config(bench_threads());
       cfg.isa = SimdIsa::kAuto;
@@ -131,25 +134,39 @@ int main() {
         cfg.kernel = kernels::KernelType::kEs;
         cfg.eval = kernels::KernelEval::kHorner;
       }
-      PlanConfig gen_cfg = cfg;
-      gen_cfg.specialize_conv = false;
-      Nufft spec(dg, dset, cfg);
-      Nufft generic(dg, dset, gen_cfg);
-      const double fwd_spec =
-          time_call([&] { spec.forward(img.data(), out_raw.data()); });
-      const double fwd_gen =
-          time_call([&] { generic.forward(img.data(), out_raw.data()); });
-      const double adj_spec =
-          time_call([&] { spec.adjoint(raw.data(), out_img.data()); });
-      const double adj_gen =
-          time_call([&] { generic.adjoint(raw.data(), out_img.data()); });
+      const Nufft plan(dg, dset, cfg);
+      const ConvVariant& spec = plan.conv_variant();
+      ConvVariantKey rt_key = spec.key;
+      rt_key.width2 = 0;
+      const ConvVariant& runtime = *ConvDispatch::instance().find(rt_key);
+      const auto& tasks = plan.plan().tasks;
+      const auto time_interp = [&](const ConvVariant& v) {
+        cfloat* const outs[1] = {out_raw.data()};
+        return time_call([&] {
+          for (const ConvTask& t : tasks) {
+            v.interp(plan.conv_range(t, false), grid_in.data(), grid_in.size(), st, outs, 1);
+          }
+        });
+      };
+      const auto time_spread = [&](const ConvVariant& v) {
+        const cfloat* const ins[1] = {raw.data()};
+        return time_call([&] {
+          for (const ConvTask& t : tasks) {
+            v.spread(plan.conv_range(t, false), ins, 1, grid_out.data(), grid_out.size(), st);
+          }
+        });
+      };
+      const double fwd_spec = time_interp(spec);
+      const double fwd_gen = time_interp(runtime);
+      const double adj_spec = time_spread(spec);
+      const double adj_gen = time_spread(runtime);
       const std::string label =
           std::string(use_horner ? "horner" : "lut") + ".d" + std::to_string(dim);
       std::printf("%-12s %12.4f %12.4f %7.2fx %12.4f %12.4f %7.2fx\n", label.c_str(), fwd_spec,
                   fwd_gen, fwd_gen / fwd_spec, adj_spec, adj_gen, adj_gen / adj_spec);
       report.add(label, {{"dim", static_cast<double>(dim)},
                          {"horner", use_horner ? 1.0 : 0.0},
-                         {"specialized", spec.plan_stats().conv_specialized ? 1.0 : 0.0},
+                         {"specialized", plan.plan_stats().conv_specialized ? 1.0 : 0.0},
                          {"forward_spec_s", fwd_spec},
                          {"forward_generic_s", fwd_gen},
                          {"forward_gain", fwd_gen / fwd_spec},

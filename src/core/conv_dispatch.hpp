@@ -1,26 +1,26 @@
-// Backend dispatch registry for the convolution hot path.
+// Backend dispatch registry for the convolution hot path — the only sample
+// loop of both Nufft and exec::BatchNufft.
 //
 // The paper's core claim is that spreading/interpolation dominates NUFFT
-// runtime and is won or lost in the inner loop. The generic path
-// (core/convolution.cpp + the per-sample `switch (mode)` in core/nufft.cpp)
-// is generic over (backend, dim, W, evaluator); this registry holds
-// pre-instantiated template variants for the hot combinations so a plan can
-// bind the whole (Part 1 window + Part 2 gather/scatter) sample loop to one
-// function pointer at construction time:
+// runtime and is won or lost in the inner loop. Each registered variant is
+// the whole (Part 1 window + Part 2 gather/scatter) loop over one task's
+// sample range, instantiated for one key:
 //
 //   key = (backend ∈ {scalar, SSE, AVX2},
 //          dim ∈ {1, 2, 3},
-//          width2 = 2W ∈ {4, 5, 6, 7, 8}   — the calibrated widths of
-//                                            core/tolerance.cpp,
+//          width2 = 2W ∈ {0, 4, 5, 6, 7, 8}  — 4..8 are the calibrated
+//                                              widths of core/tolerance.cpp
+//                                              with W a compile-time
+//                                              constant; 0 is the runtime-W
+//                                              variant every other width
+//                                              binds,
 //          evaluator ∈ {LUT, Horner})
 //
 // Selection happens once in the Nufft constructor (after the tolerance and
-// ISA resolution), is recorded in PlanStats / the plan-cache blob / an obs
-// counter, and falls back to the generic loop for every uncovered shape
-// (non-half-integer W, W outside the calibrated set, dim > 3, or the
-// `PlanConfig::specialize_conv = false` ablation). Specialized and generic
-// paths are bit-identical by contract — enforced by the `dispatch` test
-// label — so the fallback is a pure performance decision.
+// ISA resolution) and is recorded in PlanStats and an obs counter; every
+// plan binds a variant. A constexpr-W variant and its runtime-W sibling are
+// bit-identical by contract — enforced by the `dispatch` test label — so the
+// width table is a pure performance decision.
 //
 // Adding a backend (AVX-512, fp64, a bin-sorted GPU-style path) means: a new
 // ConvBackend enumerator, one conv_variants_<backend>.cpp TU defining
@@ -30,6 +30,7 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -42,8 +43,8 @@ namespace nufft {
 
 struct PlanConfig;
 
-/// Part-2 instruction set of a registered variant. Matches the resolution
-/// of Nufft::ConvMode (use_simd / isa / CPU) one-to-one.
+/// Part-2 instruction set of a registered variant, resolved per plan from
+/// PlanConfig::use_simd / isa and the CPU (Nufft::ConvMode is this type).
 enum class ConvBackend : std::uint8_t { kScalar = 0, kSse = 1, kAvx2 = 2 };
 
 const char* conv_backend_name(ConvBackend b);
@@ -52,7 +53,7 @@ const char* conv_backend_name(ConvBackend b);
 struct ConvVariantKey {
   ConvBackend backend = ConvBackend::kScalar;
   std::uint8_t dim = 0;     // 1..3
-  std::uint8_t width2 = 0;  // 2·kernel_radius, exact
+  std::uint8_t width2 = 0;  // 2·kernel_radius, exact; 0 = runtime W
   kernels::KernelEval eval = kernels::KernelEval::kLut;
 
   /// Packed identity, stable across runs (recorded in PlanStats and usable
@@ -68,13 +69,9 @@ struct ConvVariantKey {
   }
 };
 
-/// PlanStats::conv_variant_id of a plan running the generic loop.
-inline constexpr std::uint32_t kGenericConvVariantId = 0xFFFFFFFFu;
-
-/// Everything a specialized sample-range call needs. Mirrors the captures of
-/// the generic convolve_range lambda in core/nufft.cpp: the reordered
-/// coordinate arrays, the reordered→original index map, one task's sample
-/// range, and (for privatized tasks) the box origin for index rebasing.
+/// Everything a sample-range call needs: the reordered coordinate arrays,
+/// the reordered→original index map, one task's sample range, and (for
+/// privatized tasks) the box origin for index rebasing.
 struct ConvRange {
   const GridDesc* g = nullptr;
   WindowEval ev;                                        // lut or horner set
@@ -83,23 +80,26 @@ struct ConvRange {
   index_t begin = 0;
   index_t end = 0;
   /// Non-null for privatized tasks: neighbour indices are rebased to
-  /// idx − box_lo[d] (box-local, never wrapping) exactly like the generic
-  /// path does before scattering into the private buffer.
+  /// idx − box_lo[d] (box-local, never wrapping) before scattering into the
+  /// private buffer.
   const index_t* box_lo = nullptr;
 };
 
-/// Adjoint Part 1+2 over one sample range: scatter raw[orig_index[i]]·window
-/// into dst.
-using ConvSpreadFn = void (*)(const ConvRange&, const cfloat* raw, cfloat* dst,
+/// Adjoint Part 1+2 over one sample range and nb slices: scatter
+/// raws[b][orig_index[i]]·window into the grid at dst + b·slab_stride.
+using ConvSpreadFn = void (*)(const ConvRange&, const cfloat* const* raws, index_t nb,
+                              cfloat* dst, std::size_t slab_stride,
                               const std::array<index_t, 3>& strides);
-/// Forward Part 1+2 over one sample range: gather the weighted neighbour sum
-/// of each sample from grid into out[orig_index[i]].
-using ConvInterpFn = void (*)(const ConvRange&, const cfloat* grid,
-                              const std::array<index_t, 3>& strides, cfloat* out);
+/// Forward Part 1+2 over one sample range and nb slices: gather the weighted
+/// neighbour sum of each sample from the grid at grid + b·slab_stride into
+/// outs[b][orig_index[i]].
+using ConvInterpFn = void (*)(const ConvRange&, const cfloat* grid, std::size_t slab_stride,
+                              const std::array<index_t, 3>& strides, cfloat* const* outs,
+                              index_t nb);
 
 struct ConvVariant {
   ConvVariantKey key;
-  std::string name;  // "avx2.d3.w8.horner" — also the obs counter suffix
+  std::string name;  // "avx2.d3.w8.horner", "sse.d2.wrt.lut" — also the obs counter suffix
   ConvSpreadFn spread = nullptr;
   ConvInterpFn interp = nullptr;
 };
@@ -113,7 +113,8 @@ class ConvDispatch {
 
   static const ConvDispatch& instance();
 
-  /// The registered variant for `key`, or nullptr (→ generic loop).
+  /// The registered variant for `key`, or nullptr for a key outside the
+  /// table (an unregistered width2, dim ∉ [1, 3]).
   const ConvVariant* find(const ConvVariantKey& key) const;
 
   const std::vector<ConvVariant>& variants() const { return variants_; }
@@ -124,14 +125,15 @@ class ConvDispatch {
 };
 
 /// 2·kernel_radius when the radius is one of the calibrated half-integer
-/// widths the registry instantiates, 0 otherwise (→ no registry match).
+/// widths the registry instantiates with a compile-time W, 0 otherwise
+/// (→ the runtime-W variant).
 std::uint8_t conv_width2(double kernel_radius);
 
 /// Backend-agnostic dispatch identity of a resolved PlanConfig on a dim-d
-/// grid, recorded in the plan-cache blob (v3): packs (specialize_conv, dim,
-/// width2, eval). The backend is deliberately excluded — it is re-resolved
-/// per CPU at plan construction, and a cached plan must restore on a machine
-/// with a different vector ISA.
+/// grid, recorded in the plan-cache blob (v4): packs (dim, width2, eval).
+/// The backend is deliberately excluded — it is re-resolved per CPU at plan
+/// construction, and a cached plan must restore on a machine with a
+/// different vector ISA.
 std::uint32_t conv_dispatch_id(const PlanConfig& cfg, int dim);
 
 }  // namespace nufft

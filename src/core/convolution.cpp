@@ -1,8 +1,5 @@
 #include "core/convolution.hpp"
 
-#include <algorithm>
-#include <cmath>
-
 #include "common/error.hpp"
 #include "core/window_span.hpp"
 #include "simd/vec4f.hpp"
@@ -26,40 +23,36 @@ void compute_window(const GridDesc& g, const kernels::KernelLut& lut, const floa
   compute_window(g, ev, coord, dim, fill_dup, wb);
 }
 
+namespace {
+
+// compute_window is the runtime-W instantiation of the dispatch variants'
+// Part 1 (detail::window_spec), so the window arithmetic exists once.
+template <bool HORNER>
+void window_runtime_w(const GridDesc& g, const WindowEval& ev, const float* coord, int dim,
+                      bool fill_dup, WindowBuf& wb) {
+  switch (dim) {
+    case 1:
+      detail::window_spec<1, 0, HORNER, false>(g, ev, coord, fill_dup, wb);
+      return;
+    case 2:
+      detail::window_spec<2, 0, HORNER, false>(g, ev, coord, fill_dup, wb);
+      return;
+    case 3:
+      detail::window_spec<3, 0, HORNER, false>(g, ev, coord, fill_dup, wb);
+      return;
+    default:
+      throw Error("unsupported dimension");
+  }
+}
+
+}  // namespace
+
 void compute_window(const GridDesc& g, const WindowEval& ev, const float* coord, int dim,
                     bool fill_dup, WindowBuf& wb) {
-  const kernels::KernelLut* lut = ev.lut;
-  const float W = ev.radius();
-  for (int d = 0; d < dim; ++d) {
-    const float k = coord[d];
-    // Window geometry (float-rounding trim + wrap) is shared with the
-    // specialized dispatch variants via core/window_span.hpp — both paths
-    // must stay byte-identical (see that header's contract).
-    const WindowSpan sp = window_span(k, W);
-    NUFFT_DASSERT(sp.len <= WindowBuf::kMaxLen);
-    const index_t m = g.m[static_cast<std::size_t>(d)];
-    wb.start[d] = sp.x1;
-    wb.len[d] = sp.len;
-    for (int i = 0; i < sp.len; ++i) {
-      const index_t nx = sp.x1 + i;
-      wb.idx[d][i] = wrap_grid_index(nx, m);
-      if (lut != nullptr) wb.win[d][i] = (*lut)(std::fabs(static_cast<float>(nx) - k));
-    }
-    if (lut == nullptr) {
-      // Horner batch path: every neighbour shares the abscissa
-      // z = x1 − k + W ∈ [0, 1] and neighbour i sits at distance z − W + i,
-      // which is exactly the per-segment parameterization the fit used.
-      ev.horner->eval_window(static_cast<float>(sp.x1) - k + W, sp.len, wb.win[d]);
-    }
-  }
-  const int last = dim - 1;
-  wb.inner_contiguous =
-      wb.start[last] >= 0 && wb.start[last] + wb.len[last] <= g.m[static_cast<std::size_t>(last)];
-  if (fill_dup) {
-    for (int i = 0; i < wb.len[last]; ++i) {
-      wb.win_dup[2 * i] = wb.win[last][i];
-      wb.win_dup[2 * i + 1] = wb.win[last][i];
-    }
+  if (ev.lut != nullptr) {
+    window_runtime_w<false>(g, ev, coord, dim, fill_dup, wb);
+  } else {
+    window_runtime_w<true>(g, ev, coord, dim, fill_dup, wb);
   }
 }
 

@@ -75,6 +75,8 @@ struct WindowEval {
 };
 
 /// Part 1 against either evaluator; identical contract to the LUT overload.
+/// This is the runtime-W instantiation of the dispatch variants' window
+/// template (detail::window_spec in core/window_span.hpp).
 void compute_window(const GridDesc& g, const WindowEval& ev, const float* coord, int dim,
                     bool fill_dup, WindowBuf& wb);
 

@@ -6,7 +6,6 @@
 #include "common/error.hpp"
 #include "common/timer.hpp"
 #include "core/conv_dispatch.hpp"
-#include "core/convolution.hpp"
 #include "core/convolution_avx2.hpp"
 #include "core/tolerance.hpp"
 #include "kernels/rolloff.hpp"
@@ -23,24 +22,6 @@ inline index_t wrap_coord(index_t v, index_t m) {
   if (v < 0) return v + m;
   if (v >= m) return v - m;
   return v;
-}
-
-// Dispatch a per-sample convolution body over a compile-time dimension.
-template <class F1, class F2, class F3>
-void dim_dispatch(int dim, F1&& f1, F2&& f2, F3&& f3) {
-  switch (dim) {
-    case 1:
-      f1();
-      return;
-    case 2:
-      f2();
-      return;
-    case 3:
-      f3();
-      return;
-    default:
-      throw Error("unsupported dimension");
-  }
 }
 
 }  // namespace
@@ -75,6 +56,38 @@ Nufft::Nufft(const GridDesc& g, const datasets::SampleSet& samples, const PlanCo
                                       << footprint
                                       << "); shrink kernel_radius or enlarge the grid");
   }
+
+  // Resolve the vector path once. kAuto prefers AVX2 when the CPU has it;
+  // an explicit kAvx2 request on an unsupported CPU is a caller error.
+  if (!cfg_.use_simd) {
+    conv_mode_ = ConvMode::kScalar;
+  } else if (cfg_.isa == SimdIsa::kAvx2 ||
+             (cfg_.isa == SimdIsa::kAuto && avx2_available())) {
+    NUFFT_CHECK_MSG(avx2_available(), "AVX2 kernels requested on a CPU without AVX2+FMA");
+    conv_mode_ = ConvMode::kAvx2;
+  } else {
+    conv_mode_ = ConvMode::kSse;
+  }
+
+  // Bind the convolution hot path once: the constexpr-W variant when the
+  // resolved width is one of the registry's calibrated widths, the runtime-W
+  // variant of the same (backend, dim, evaluator) otherwise. The two are
+  // bit-identical by contract (tests/test_dispatch.cpp), so this is purely a
+  // performance decision. Done before preprocessing so the registry's
+  // process-lifetime allocations (first use) never land between the plan's
+  // large buffers, where they would fragment the heap for later plans.
+  ConvVariantKey key;
+  key.backend = conv_mode_;
+  key.dim = static_cast<std::uint8_t>(g_.dim);
+  key.width2 = conv_width2(cfg_.kernel_radius);
+  key.eval = cfg_.eval;
+  conv_variant_ = ConvDispatch::instance().find(key);
+  NUFFT_CHECK_MSG(conv_variant_ != nullptr, "no convolution variant for dim " << g_.dim);
+  plan_stats_.conv_specialized = key.width2 != 0;
+  plan_stats_.conv_variant_id = key.id();
+  plan_stats_.conv_variant = conv_variant_->name;
+  obs::count(std::string("nufft.conv.variant.") + plan_stats_.conv_variant);
+
   pool_ = std::make_unique<ThreadPool>(cfg_.threads);
   if (restored.graph != nullptr) {
     NUFFT_CHECK_MSG(static_cast<index_t>(restored.orig_index.size()) == nsamples_,
@@ -131,41 +144,6 @@ Nufft::Nufft(const GridDesc& g, const datasets::SampleSet& samples, const PlanCo
   if (cfg_.eval == kernels::KernelEval::kHorner) {
     horner_ = std::make_shared<kernels::KernelHorner>(*kernel);
   }
-
-  // Resolve the vector path once. kAuto prefers AVX2 when the CPU has it;
-  // an explicit kAvx2 request on an unsupported CPU is a caller error.
-  if (!cfg_.use_simd) {
-    conv_mode_ = ConvMode::kScalar;
-  } else if (cfg_.isa == SimdIsa::kAvx2 ||
-             (cfg_.isa == SimdIsa::kAuto && avx2_available())) {
-    NUFFT_CHECK_MSG(avx2_available(), "AVX2 kernels requested on a CPU without AVX2+FMA");
-    conv_mode_ = ConvMode::kAvx2;
-  } else {
-    conv_mode_ = ConvMode::kSse;
-  }
-
-  // Bind the convolution hot path to a specialized dispatch variant when the
-  // resolved (backend, dim, W, evaluator) shape is registered; every
-  // uncovered shape — non-half-integer W, W outside the calibrated set, or
-  // the specialize_conv ablation — keeps the generic loop. The two paths are
-  // bit-identical by contract (tests/test_dispatch.cpp), so this is purely a
-  // performance decision.
-  if (cfg_.specialize_conv) {
-    ConvVariantKey key;
-    key.backend = conv_mode_ == ConvMode::kScalar  ? ConvBackend::kScalar
-                  : conv_mode_ == ConvMode::kSse   ? ConvBackend::kSse
-                                                   : ConvBackend::kAvx2;
-    key.dim = static_cast<std::uint8_t>(g_.dim);
-    key.width2 = conv_width2(cfg_.kernel_radius);
-    key.eval = cfg_.eval;
-    if (key.width2 != 0) conv_variant_ = ConvDispatch::instance().find(key);
-  }
-  if (conv_variant_ != nullptr) {
-    plan_stats_.conv_specialized = true;
-    plan_stats_.conv_variant_id = conv_variant_->key.id();
-    plan_stats_.conv_variant = conv_variant_->name;
-  }
-  obs::count(std::string("nufft.conv.variant.") + plan_stats_.conv_variant);
 
   // The plan-owned workspace backing the convenience (non-const) API.
   ws_ = make_workspace();
@@ -266,119 +244,80 @@ std::size_t Nufft::workspace_bytes() const {
   return elems * sizeof(cfloat);
 }
 
-void Nufft::clear_grid(Workspace& ws, ThreadPool& pool) const {
-  cfloat* p = ws.grid.data();
-  pool.parallel_for(static_cast<index_t>(ws.grid.size()), [&](index_t b, index_t e) {
-    zero_complex(p + b, static_cast<std::size_t>(e - b));
+void Nufft::clear_grid(cfloat* grid, std::size_t n, ThreadPool& pool) {
+  pool.parallel_for(static_cast<index_t>(n), [&](index_t b, index_t e) {
+    zero_complex(grid + b, static_cast<std::size_t>(e - b));
   });
 }
 
-void Nufft::clear_grid() { clear_grid(ws_, *pool_); }
+void Nufft::clear_grid() { clear_grid(ws_.grid.data(), ws_.grid.size(), *pool_); }
 
-void Nufft::image_to_grid(const cfloat* image, Workspace& ws, ThreadPool& pool) const {
-  // Specialized plans take the fused scale pass: one sweep over the grid
-  // writing every cell exactly once (zero padding or scaled image value)
-  // instead of clear_grid + scatter — the grid is touched once, not twice.
-  // The innermost dimension walks the precomputed wrap runs (contiguous
-  // grid↔image stretches), so the hot loop is a straight copy-scale with no
-  // per-element lookup or branch. Bit-identical to the two-pass path: the
-  // written cells use the same multiply grouping, and untouched cells are the
-  // same +0.0f the clear writes. Gated on the dispatch binding so the
-  // specialize_conv=false ablation measures (and the bit-match tests compare)
-  // the original passes.
-  if (conv_variant_ != nullptr) {
-    const int dim = g_.dim;
-    const auto st = g_.grid_strides();
-    const index_t m0 = g_.m[0];
-    const index_t m1 = dim >= 2 ? g_.m[1] : 1;
-    const index_t m2 = dim >= 3 ? g_.m[2] : 1;
-    const index_t n1 = dim >= 2 ? g_.n[1] : 1;
-    const index_t n2 = dim >= 3 ? g_.n[2] : 1;
-    const fvec& s0 = scale_[0];
-    const fvec* s1 = dim >= 2 ? &scale_[1] : nullptr;
-    const fvec* s2 = dim >= 3 ? &scale_[2] : nullptr;
-    // Stream one row's runs: gaps zeroed, each run a lookup-free copy-scale.
-    // Same multiply grouping as the generic scatter (src · (f · scale)).
-    const auto stream_row = [&](cfloat* row, index_t m, const std::vector<WrapRun>& runs,
-                                const cfloat* src, float f, const fvec& scale) {
-      index_t gcur = 0;
-      for (const WrapRun& r : runs) {
-        zero_complex(row + gcur, static_cast<std::size_t>(r.g_begin - gcur));
-        const index_t len = r.g_end - r.g_begin;
-        cfloat* out = row + r.g_begin;
-        const cfloat* in = src + r.i_begin;
-        const float* sc = scale.data() + r.i_begin;
-        for (index_t j = 0; j < len; ++j) out[j] = in[j] * (f * sc[j]);
-        gcur = r.g_end;
-      }
-      zero_complex(row + gcur, static_cast<std::size_t>(m - gcur));
-    };
-    pool.parallel_for(m0, [&](index_t b, index_t e) {
-      for (index_t g0 = b; g0 < e; ++g0) {
-        cfloat* slab = ws.grid.data() + g0 * st[0];
-        const index_t i0 = inv_wrap_[0][static_cast<std::size_t>(g0)];
-        if (i0 < 0) {
-          zero_complex(slab, static_cast<std::size_t>(st[0]));
-          continue;
-        }
-        const float f0 = s0[static_cast<std::size_t>(i0)];
-        if (dim == 1) {
-          slab[0] = image[i0] * f0;
-          continue;
-        }
-        if (dim == 2) {
-          stream_row(slab, m1, wrap_runs_[1], image + i0 * n1, f0, *s1);
-          continue;
-        }
-        for (index_t g1 = 0; g1 < m1; ++g1) {
-          cfloat* row = slab + g1 * st[1];
-          const index_t i1 = inv_wrap_[1][static_cast<std::size_t>(g1)];
-          if (i1 < 0) {
-            zero_complex(row, static_cast<std::size_t>(st[1]));
-            continue;
-          }
-          const float f01 = f0 * (*s1)[static_cast<std::size_t>(i1)];
-          stream_row(row, m2, wrap_runs_[2], image + (i0 * n1 + i1) * n2, f01, *s2);
-        }
-      }
-    });
-    return;
-  }
-
-  clear_grid(ws, pool);
+void Nufft::image_to_grid(const cfloat* image, cfloat* grid, ThreadPool& pool) const {
+  // One sweep over the grid writing every cell exactly once (zero padding or
+  // scaled image value), so the grid is touched once, not cleared and then
+  // scattered into. The innermost dimension walks the precomputed wrap runs
+  // (contiguous grid↔image stretches), so the hot loop is a straight
+  // copy-scale with no per-element lookup or branch; the multiply grouping is
+  // src · (f · scale), the same as grid_to_image's.
   const int dim = g_.dim;
   const auto st = g_.grid_strides();
-  const index_t n0 = g_.n[0];
+  const index_t m0 = g_.m[0];
+  const index_t m1 = dim >= 2 ? g_.m[1] : 1;
+  const index_t m2 = dim >= 3 ? g_.m[2] : 1;
   const index_t n1 = dim >= 2 ? g_.n[1] : 1;
   const index_t n2 = dim >= 3 ? g_.n[2] : 1;
   const fvec& s0 = scale_[0];
   const fvec* s1 = dim >= 2 ? &scale_[1] : nullptr;
   const fvec* s2 = dim >= 3 ? &scale_[2] : nullptr;
-  pool.parallel_for(n0, [&](index_t b, index_t e) {
-    for (index_t i0 = b; i0 < e; ++i0) {
+  // Stream one row's runs: gaps zeroed, each run a lookup-free copy-scale.
+  const auto stream_row = [&](cfloat* row, index_t m, const std::vector<WrapRun>& runs,
+                              const cfloat* src, float f, const fvec& scale) {
+    index_t gcur = 0;
+    for (const WrapRun& r : runs) {
+      zero_complex(row + gcur, static_cast<std::size_t>(r.g_begin - gcur));
+      const index_t len = r.g_end - r.g_begin;
+      cfloat* out = row + r.g_begin;
+      const cfloat* in = src + r.i_begin;
+      const float* sc = scale.data() + r.i_begin;
+      for (index_t j = 0; j < len; ++j) out[j] = in[j] * (f * sc[j]);
+      gcur = r.g_end;
+    }
+    zero_complex(row + gcur, static_cast<std::size_t>(m - gcur));
+  };
+  pool.parallel_for(m0, [&](index_t b, index_t e) {
+    for (index_t g0 = b; g0 < e; ++g0) {
+      cfloat* slab = grid + g0 * st[0];
+      const index_t i0 = inv_wrap_[0][static_cast<std::size_t>(g0)];
+      if (i0 < 0) {
+        zero_complex(slab, static_cast<std::size_t>(st[0]));
+        continue;
+      }
       const float f0 = s0[static_cast<std::size_t>(i0)];
-      const index_t g0 = wrap_[0][static_cast<std::size_t>(i0)];
-      for (index_t i1 = 0; i1 < n1; ++i1) {
-        const float f01 = dim >= 2 ? f0 * (*s1)[static_cast<std::size_t>(i1)] : f0;
-        const index_t g1 = dim >= 2 ? wrap_[1][static_cast<std::size_t>(i1)] : 0;
-        const cfloat* src = image + (i0 * n1 + i1) * n2;
-        cfloat* dst = ws.grid.data() + g0 * st[0] + (dim >= 2 ? g1 * st[1] : 0);
-        if (dim >= 3) {
-          for (index_t i2 = 0; i2 < n2; ++i2) {
-            dst[wrap_[2][static_cast<std::size_t>(i2)]] =
-                src[i2] * (f01 * (*s2)[static_cast<std::size_t>(i2)]);
-          }
-        } else {
-          dst[0] = src[0] * f01;
+      if (dim == 1) {
+        slab[0] = image[i0] * f0;
+        continue;
+      }
+      if (dim == 2) {
+        stream_row(slab, m1, wrap_runs_[1], image + i0 * n1, f0, *s1);
+        continue;
+      }
+      for (index_t g1 = 0; g1 < m1; ++g1) {
+        cfloat* row = slab + g1 * st[1];
+        const index_t i1 = inv_wrap_[1][static_cast<std::size_t>(g1)];
+        if (i1 < 0) {
+          zero_complex(row, static_cast<std::size_t>(st[1]));
+          continue;
         }
+        const float f01 = f0 * (*s1)[static_cast<std::size_t>(i1)];
+        stream_row(row, m2, wrap_runs_[2], image + (i0 * n1 + i1) * n2, f01, *s2);
       }
     }
   });
 }
 
-void Nufft::image_to_grid(const cfloat* image) { image_to_grid(image, ws_, *pool_); }
+void Nufft::image_to_grid(const cfloat* image) { image_to_grid(image, ws_.grid.data(), *pool_); }
 
-void Nufft::grid_to_image(cfloat* image, const Workspace& ws, ThreadPool& pool) const {
+void Nufft::grid_to_image(const cfloat* grid, cfloat* image, ThreadPool& pool) const {
   const int dim = g_.dim;
   const auto st = g_.grid_strides();
   const index_t n0 = g_.n[0];
@@ -395,7 +334,7 @@ void Nufft::grid_to_image(cfloat* image, const Workspace& ws, ThreadPool& pool) 
         const float f01 = dim >= 2 ? f0 * (*s1)[static_cast<std::size_t>(i1)] : f0;
         const index_t g1 = dim >= 2 ? wrap_[1][static_cast<std::size_t>(i1)] : 0;
         cfloat* dst = image + (i0 * n1 + i1) * n2;
-        const cfloat* src = ws.grid.data() + g0 * st[0] + (dim >= 2 ? g1 * st[1] : 0);
+        const cfloat* src = grid + g0 * st[0] + (dim >= 2 ? g1 * st[1] : 0);
         if (dim >= 3) {
           for (index_t i2 = 0; i2 < n2; ++i2) {
             dst[i2] = src[wrap_[2][static_cast<std::size_t>(i2)]] *
@@ -410,174 +349,71 @@ void Nufft::grid_to_image(cfloat* image, const Workspace& ws, ThreadPool& pool) 
 }
 
 void Nufft::grid_to_image(cfloat* image) const {
-  grid_to_image(image, ws_, *pool_);
+  grid_to_image(ws_.grid.data(), image, *pool_);
 }
 
-void Nufft::interp(cfloat* raw, const Workspace& ws, ThreadPool& pool) const {
+void Nufft::run_interp(const cfloat* grid, std::size_t slab_stride, cfloat* const* outs,
+                       index_t nb, ThreadPool& pool) const {
   const auto st = g_.grid_strides();
-  const cfloat* grid = ws.grid.data();
-  const int ntasks = static_cast<int>(pp_.tasks.size());
-
-  dim_dispatch(
-      g_.dim,
-      [&] { interp_dim<1>(grid, st, raw, ntasks, pool); },
-      [&] { interp_dim<2>(grid, st, raw, ntasks, pool); },
-      [&] { interp_dim<3>(grid, st, raw, ntasks, pool); });
-}
-
-void Nufft::interp(cfloat* raw) { interp(raw, ws_, *pool_); }
-
-template <int DIM>
-void Nufft::interp_dim(const cfloat* grid, const std::array<index_t, 3>& st, cfloat* raw,
-                       int ntasks, ThreadPool& pool) const {
-  if (conv_variant_ != nullptr) {
-    // Specialized dispatch: the whole per-sample loop (Part 1 window + Part 2
-    // gather) is one pre-instantiated function bound at plan time.
-    const ConvInterpFn fn = conv_variant_->interp;
-    pool.parallel_for_tid(ntasks, 1, [&](int, index_t kb, index_t ke) {
-      for (index_t k = kb; k < ke; ++k) {
-        fn(conv_range(pp_.tasks[static_cast<std::size_t>(k)], false), grid, st, raw);
-      }
-    });
-    return;
-  }
-  const ConvMode mode = conv_mode_;
-  const bool fill_dup = mode != ConvMode::kScalar;
-  const WindowEval ev = window_eval();
-  pool.parallel_for_tid(ntasks, 1, [&](int, index_t kb, index_t ke) {
-    WindowBuf wb;
+  const ConvInterpFn fn = conv_variant_->interp;
+  pool.parallel_for_tid(static_cast<int>(pp_.tasks.size()), 1, [&](int, index_t kb, index_t ke) {
     for (index_t k = kb; k < ke; ++k) {
-      const ConvTask& task = pp_.tasks[static_cast<std::size_t>(k)];
-      for (index_t i = task.begin; i < task.end; ++i) {
-        float coord[3];
-        for (int d = 0; d < DIM; ++d) {
-          coord[d] = pp_.coords[static_cast<std::size_t>(d)][static_cast<std::size_t>(i)];
-        }
-        compute_window(g_, ev, coord, DIM, fill_dup, wb);
-        cfloat v;
-        switch (mode) {
-          case ConvMode::kScalar:
-            v = fwd_gather_scalar<DIM>(grid, st, wb);
-            break;
-          case ConvMode::kSse:
-            v = fwd_gather_simd<DIM>(grid, st, wb);
-            break;
-          default:
-            v = fwd_gather_avx2<DIM>(grid, st, wb);
-            break;
-        }
-        raw[pp_.orig_index[static_cast<std::size_t>(i)]] = v;
-      }
+      fn(conv_range(pp_.tasks[static_cast<std::size_t>(k)], false), grid, slab_stride, st, outs,
+         nb);
     }
   });
 }
 
-void Nufft::run_spread(const cfloat* raw, Workspace& ws, ThreadPool& pool,
-                       OperatorStats* stats) const {
-  const auto st = g_.grid_strides();
-  dim_dispatch(
-      g_.dim, [&] { spread_dim<1>(raw, st, ws, pool, stats); },
-      [&] { spread_dim<2>(raw, st, ws, pool, stats); },
-      [&] { spread_dim<3>(raw, st, ws, pool, stats); });
+void Nufft::interp(cfloat* raw) {
+  cfloat* const outs[1] = {raw};
+  run_interp(ws_.grid.data(), ws_.grid.size(), outs, 1, *pool_);
 }
 
-template <int DIM>
-void Nufft::spread_dim(const cfloat* raw, const std::array<index_t, 3>& st, Workspace& ws,
-                       ThreadPool& pool, OperatorStats* stats) const {
-  cfloat* grid = ws.grid.data();
-  const ConvMode mode = conv_mode_;
-  const bool fill_dup = mode != ConvMode::kScalar;
-  const WindowEval ev = window_eval();
-
-  // Convolve one task's samples into `dst` (the global grid, or a private
-  // box with box-local indices).
-  auto convolve_range = [&](const ConvTask& task, cfloat* dst,
-                            const std::array<index_t, 3>& strides, bool box_local) {
-    if (conv_variant_ != nullptr) {
-      // Specialized dispatch: Part 1 + Part 2 for the whole range in one
-      // pre-instantiated call. Scheduling, privatization, and reduction
-      // around this are unchanged.
-      conv_variant_->spread(conv_range(task, box_local), raw, dst, strides);
-      return;
-    }
-    WindowBuf wb;
-    for (index_t i = task.begin; i < task.end; ++i) {
-      float coord[3];
-      for (int d = 0; d < DIM; ++d) {
-        coord[d] = pp_.coords[static_cast<std::size_t>(d)][static_cast<std::size_t>(i)];
-      }
-      compute_window(g_, ev, coord, DIM, fill_dup, wb);
-      if (box_local) {
-        // Rebase neighbour indices into the private box; the box covers the
-        // partition plus the kernel radius, so no wrapping can occur.
-        for (int d = 0; d < DIM; ++d) {
-          for (int t = 0; t < wb.len[d]; ++t) {
-            wb.idx[d][t] = wb.start[d] + t - task.box_lo[static_cast<std::size_t>(d)];
-          }
-        }
-        wb.inner_contiguous = true;
-      }
-      const cfloat v = raw[pp_.orig_index[static_cast<std::size_t>(i)]];
-      switch (mode) {
-        case ConvMode::kScalar:
-          adj_scatter_scalar<DIM>(dst, strides, wb, v);
-          break;
-        case ConvMode::kSse:
-          adj_scatter_simd<DIM>(dst, strides, wb, v);
-          break;
-        default:
-          adj_scatter_avx2<DIM>(dst, strides, wb, v);
-          break;
-      }
-    }
-  };
+std::vector<TraceEvent> Nufft::run_spread(const cfloat* const* raws, index_t nb, cfloat* grid,
+                                          std::size_t slab_stride,
+                                          std::vector<cvecf>& private_bufs,
+                                          const std::vector<char>& privatized, ThreadPool& pool,
+                                          OperatorStats* stats) const {
+  const int dim = g_.dim;
+  const auto st = g_.grid_strides();
+  const ConvSpreadFn fn = conv_variant_->spread;
 
   auto body = [&](int task_id, int, JobPhase phase) {
     const ConvTask& task = pp_.tasks[static_cast<std::size_t>(task_id)];
+    const auto box_elems = static_cast<std::size_t>(task.box_elems(dim));
     switch (phase) {
       case JobPhase::kConvolve:
-        convolve_range(task, grid, st, false);
+        fn(conv_range(task, false), raws, nb, grid, slab_stride, st);
         break;
       case JobPhase::kPrivateConvolve: {
-        auto& buf = ws.private_bufs[static_cast<std::size_t>(task_id)];
-        zero_complex(buf.data(), buf.size());
-        std::array<index_t, 3> bst{1, 1, 1};
-        for (int d = DIM - 2; d >= 0; --d) {
-          bst[static_cast<std::size_t>(d)] =
-              bst[static_cast<std::size_t>(d + 1)] *
-              (task.box_hi[static_cast<std::size_t>(d + 1)] -
-               task.box_lo[static_cast<std::size_t>(d + 1)]);
-        }
-        convolve_range(task, buf.data(), bst, true);
+        cvecf& buf = private_bufs[static_cast<std::size_t>(task_id)];
+        zero_complex(buf.data(), static_cast<std::size_t>(nb) * box_elems);
+        fn(conv_range(task, true), raws, nb, buf.data(), box_elems, task.box_strides(dim));
         break;
       }
       case JobPhase::kReduce: {
-        // Merge the private box into the global grid, wrapping mod M.
-        const auto& buf = ws.private_bufs[static_cast<std::size_t>(task_id)];
+        // Merge each slice's private box into its grid, wrapping mod M.
+        const cvecf& buf = private_bufs[static_cast<std::size_t>(task_id)];
         std::array<index_t, 3> blen{1, 1, 1};
-        for (int d = 0; d < DIM; ++d) {
+        for (int d = 0; d < dim; ++d) {
           blen[static_cast<std::size_t>(d)] = task.box_hi[static_cast<std::size_t>(d)] -
                                               task.box_lo[static_cast<std::size_t>(d)];
         }
-        const index_t rows = DIM >= 2 ? blen[0] * (DIM >= 3 ? blen[1] : 1) : 1;
-        const index_t inner = blen[static_cast<std::size_t>(DIM - 1)];
-        for (index_t r = 0; r < rows; ++r) {
-          const index_t b0 = DIM >= 3 ? r / blen[1] : (DIM == 2 ? r : 0);
-          const index_t b1 = DIM >= 3 ? r % blen[1] : 0;
-          index_t base = 0;
-          if (DIM >= 2) {
-            const index_t u0 = wrap_coord(task.box_lo[0] + b0, g_.m[0]);
-            base += u0 * st[0];
-          }
-          if (DIM >= 3) {
-            const index_t u1 = wrap_coord(task.box_lo[1] + b1, g_.m[1]);
-            base += u1 * st[1];
-          }
-          const cfloat* src = buf.data() + r * inner;
-          const index_t lo = task.box_lo[static_cast<std::size_t>(DIM - 1)];
-          const index_t m = g_.m[static_cast<std::size_t>(DIM - 1)];
-          for (index_t c = 0; c < inner; ++c) {
-            grid[base + wrap_coord(lo + c, m)] += src[c];
+        const index_t rows = dim >= 2 ? blen[0] * (dim >= 3 ? blen[1] : 1) : 1;
+        const index_t inner = blen[static_cast<std::size_t>(dim - 1)];
+        const index_t lo = task.box_lo[static_cast<std::size_t>(dim - 1)];
+        const index_t m = g_.m[static_cast<std::size_t>(dim - 1)];
+        for (index_t b = 0; b < nb; ++b) {
+          cfloat* slab = grid + static_cast<std::size_t>(b) * slab_stride;
+          const cfloat* box = buf.data() + static_cast<std::size_t>(b) * box_elems;
+          for (index_t r = 0; r < rows; ++r) {
+            const index_t b0 = dim >= 3 ? r / blen[1] : (dim == 2 ? r : 0);
+            const index_t b1 = dim >= 3 ? r % blen[1] : 0;
+            index_t base = 0;
+            if (dim >= 2) base += wrap_coord(task.box_lo[0] + b0, g_.m[0]) * st[0];
+            if (dim >= 3) base += wrap_coord(task.box_lo[1] + b1, g_.m[1]) * st[1];
+            const cfloat* src = box + r * inner;
+            for (index_t c = 0; c < inner; ++c) slab[base + wrap_coord(lo + c, m)] += src[c];
           }
         }
         break;
@@ -592,21 +428,22 @@ void Nufft::spread_dim(const cfloat* raw, const std::array<index_t, 3>& st, Work
     SchedulerConfig scfg;
     scfg.priority_queue = cfg_.priority_queue;
     scfg.record_trace = cfg_.record_trace;
-    sstats = run_task_graph(*pp_.graph, pp_.weights, pp_.privatized, pool, body, scfg);
+    sstats = run_task_graph(*pp_.graph, pp_.weights, privatized, pool, body, scfg);
   }
   if (stats != nullptr) {
     // Accumulate, don't overwrite: an apply may walk the scheduler more than
-    // once (the batched adjoint does, per slab-group chunk) and the caller
-    // resets the struct at apply entry.
+    // once (the batched adjoint does, per chunk) and the caller resets the
+    // struct at apply entry.
     stats->add_scheduler_pass(sstats.tasks, sstats.privatized_tasks,
                               sstats.busy_ns_per_context);
   }
-  ws.trace = std::move(sstats.trace);
+  return std::move(sstats.trace);
 }
 
 void Nufft::spread(const cfloat* raw) {
-  clear_grid(ws_, *pool_);
-  run_spread(raw, ws_, *pool_, nullptr);
+  clear_grid();
+  ws_.trace = run_spread(&raw, 1, ws_.grid.data(), ws_.grid.size(), ws_.private_bufs,
+                         pp_.privatized, *pool_, nullptr);
 }
 
 void Nufft::forward(const cfloat* image, cfloat* raw, Workspace& ws, ThreadPool& pool) const {
@@ -616,7 +453,7 @@ void Nufft::forward(const cfloat* image, cfloat* raw, Workspace& ws, ThreadPool&
   Timer t;
   {
     obs::Span s("nufft.scale", "core");
-    image_to_grid(image, ws, pool);
+    image_to_grid(image, ws.grid.data(), pool);
   }
   ws.fwd_stats.scale_s = t.seconds();
 
@@ -630,7 +467,8 @@ void Nufft::forward(const cfloat* image, cfloat* raw, Workspace& ws, ThreadPool&
   t.reset();
   {
     obs::Span s("nufft.conv", "core");
-    interp(raw, ws, pool);
+    cfloat* const outs[1] = {raw};
+    run_interp(ws.grid.data(), ws.grid.size(), outs, 1, pool);
   }
   ws.fwd_stats.conv_s = t.seconds();
   ws.fwd_stats.total_s = total.seconds();
@@ -645,14 +483,15 @@ void Nufft::adjoint(const cfloat* raw, cfloat* image, Workspace& ws, ThreadPool&
   Timer t;
   {
     obs::Span s("nufft.scale", "core");
-    clear_grid(ws, pool);
+    clear_grid(ws.grid.data(), ws.grid.size(), pool);
   }
   ws.adj_stats.scale_s = t.seconds();
 
   t.reset();
   {
     obs::Span s("nufft.conv", "core");
-    run_spread(raw, ws, pool, &ws.adj_stats);
+    ws.trace = run_spread(&raw, 1, ws.grid.data(), ws.grid.size(), ws.private_bufs,
+                          pp_.privatized, pool, &ws.adj_stats);
   }
   ws.adj_stats.conv_s = t.seconds();
 
@@ -666,7 +505,7 @@ void Nufft::adjoint(const cfloat* raw, cfloat* image, Workspace& ws, ThreadPool&
   t.reset();
   {
     obs::Span s("nufft.scale", "core");
-    grid_to_image(image, ws, pool);
+    grid_to_image(ws.grid.data(), image, pool);
   }
   ws.adj_stats.scale_s += t.seconds();
   ws.adj_stats.total_s = total.seconds();

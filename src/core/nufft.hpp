@@ -158,10 +158,19 @@ class Nufft {
   ThreadPool& pool() { return *pool_; }
 
   /// Vector path resolved from PlanConfig::use_simd / isa and the CPU.
-  enum class ConvMode { kScalar, kSse, kAvx2 };
+  using ConvMode = ConvBackend;
   ConvMode conv_mode() const { return conv_mode_; }
 
-  /// Plan-time decisions (specialized convolution variant binding).
+  /// The convolution variant this plan bound (never null): the constexpr-W
+  /// variant of its key, or the runtime-W one for an uncovered width.
+  const ConvVariant& conv_variant() const { return *conv_variant_; }
+
+  /// View of one task's sample range as the dispatch variants consume it
+  /// (core/conv_dispatch.hpp), for driving a variant directly in benches and
+  /// tests. box_local → indices rebased into the task's private box.
+  ConvRange conv_range(const ConvTask& task, bool box_local) const;
+
+  /// Plan-time decisions (convolution variant binding, generation).
   const PlanStats& plan_stats() const { return plan_stats_; }
 
  private:
@@ -179,23 +188,23 @@ class Nufft {
     return ev;
   }
 
-  /// View of one task's sample range as the specialized dispatch variants
-  /// consume it (core/conv_dispatch.hpp). box_local → indices rebased into
-  /// the task's private box.
-  ConvRange conv_range(const ConvTask& task, bool box_local) const;
+  static void clear_grid(cfloat* grid, std::size_t n, ThreadPool& pool);
+  /// The fused scale pass: every cell of `grid` written once (zero padding
+  /// or scaled image value).
+  void image_to_grid(const cfloat* image, cfloat* grid, ThreadPool& pool) const;
+  void grid_to_image(const cfloat* grid, cfloat* image, ThreadPool& pool) const;
 
-  void clear_grid(Workspace& ws, ThreadPool& pool) const;
-  void image_to_grid(const cfloat* image, Workspace& ws, ThreadPool& pool) const;
-  void grid_to_image(cfloat* image, const Workspace& ws, ThreadPool& pool) const;
-  void interp(cfloat* raw, const Workspace& ws, ThreadPool& pool) const;
-  void run_spread(const cfloat* raw, Workspace& ws, ThreadPool& pool,
-                  OperatorStats* stats) const;
-  template <int DIM>
-  void interp_dim(const cfloat* grid, const std::array<index_t, 3>& st, cfloat* raw,
-                  int ntasks, ThreadPool& pool) const;
-  template <int DIM>
-  void spread_dim(const cfloat* raw, const std::array<index_t, 3>& st, Workspace& ws,
-                  ThreadPool& pool, OperatorStats* stats) const;
+  // The convolution over nb slices whose grids sit slab_stride apart — the
+  // one sample loop of both the single (nb = 1, the workspace grid) and the
+  // batched (exec::BatchNufft slabs) applies.
+  void run_interp(const cfloat* grid, std::size_t slab_stride, cfloat* const* outs, index_t nb,
+                  ThreadPool& pool) const;
+  /// Privatized tasks convolve into private_bufs[task] (nb boxes back to
+  /// back) under the `privatized` mask. Returns the scheduler trace.
+  std::vector<TraceEvent> run_spread(const cfloat* const* raws, index_t nb, cfloat* grid,
+                                     std::size_t slab_stride, std::vector<cvecf>& private_bufs,
+                                     const std::vector<char>& privatized, ThreadPool& pool,
+                                     OperatorStats* stats) const;
 
   GridDesc g_;
   PlanConfig cfg_;
@@ -222,7 +231,7 @@ class Nufft {
   std::shared_ptr<kernels::KernelLut> lut_;
   std::shared_ptr<kernels::KernelHorner> horner_;  // set iff cfg_.eval == kHorner
   ConvMode conv_mode_ = ConvMode::kSse;
-  const ConvVariant* conv_variant_ = nullptr;  // bound dispatch variant, or generic
+  const ConvVariant* conv_variant_ = nullptr;  // bound dispatch variant
   PlanStats plan_stats_;
   Workspace ws_;  // the plan-owned workspace behind the convenience API
 };

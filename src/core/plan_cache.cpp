@@ -17,13 +17,15 @@ constexpr std::uint32_t kMagic = 0x4E554657;  // "NUFW"
 // v2 added the resolved kernel identity (family, radius, LUT density, weight
 // evaluator) after the grid geometry: two plans differing only in kernel
 // must never restore interchangeably. v1 blobs are rejected as stale.
-// v3 appends the backend-agnostic convolution dispatch identity
-// (specialize_conv, dim, calibrated width2, evaluator — see
-// conv_dispatch_id()): a plan restored under a different dispatch
-// configuration would silently run a different hot path than the one it was
-// validated with. The vector backend is deliberately NOT part of the blob —
-// it is re-resolved per CPU so a cached plan restores across ISAs.
-constexpr std::uint32_t kVersion = 3;
+// v3 appended the backend-agnostic convolution dispatch identity: a plan
+// restored under a different dispatch configuration would silently run a
+// different hot path than the one it was validated with. v4 drops the
+// registry on/off flag from it — every plan binds a registry variant — so
+// the identity is (dim, registry width2, evaluator), see conv_dispatch_id();
+// v3 blobs are rejected as stale. The vector backend is deliberately NOT
+// part of the blob — it is re-resolved per CPU so a cached plan restores
+// across ISAs.
+constexpr std::uint32_t kVersion = 4;
 
 // On-disk container framing (save_plan/load_plan): a checksummed header in
 // front of the serialized blob, so a truncated or bit-flipped spill file is
@@ -121,7 +123,7 @@ std::vector<std::uint8_t> serialize_plan(const Preprocessed& pp, const GridDesc&
   w.put(rc.kernel_radius);
   w.put(static_cast<std::int32_t>(rc.lut_samples_per_unit));
   w.put(static_cast<std::int32_t>(rc.eval));
-  // Convolution dispatch identity (v3, backend-agnostic).
+  // Convolution dispatch identity (backend-agnostic).
   w.put(conv_dispatch_id(rc, g.dim));
 
   // Partition layout.

@@ -71,8 +71,6 @@ struct PlanConfig {
   double privatization_factor = 1.0;     // scales the Eq. 6 threshold
   index_t reorder_tile = 8;              // tile edge for the cache reorder
   bool record_trace = false;             // scheduler instrumentation
-  bool specialize_conv = true;           // dispatch-registry ablation: false
-                                         // forces the generic convolution loop
 };
 
 /// One task = one grid partition plus the samples that fall inside it.
@@ -86,6 +84,15 @@ struct ConvTask {
     index_t t = 1;
     for (int d = 0; d < dim; ++d) t *= box_hi[static_cast<std::size_t>(d)] - box_lo[static_cast<std::size_t>(d)];
     return t;
+  }
+  /// Row-major strides of the private box [box_lo, box_hi).
+  std::array<index_t, 3> box_strides(int dim) const {
+    std::array<index_t, 3> s{1, 1, 1};
+    for (int d = dim - 2; d >= 0; --d) {
+      const auto u = static_cast<std::size_t>(d);
+      s[u] = s[u + 1] * (box_hi[u + 1] - box_lo[u + 1]);
+    }
+    return s;
   }
 };
 

@@ -13,15 +13,14 @@ namespace nufft {
 /// Plan-time decisions frozen at Nufft construction, queryable via
 /// Nufft::plan_stats(). Complements the per-apply OperatorStats below.
 struct PlanStats {
-  /// True when the convolution hot path bound to a specialized dispatch
-  /// variant (core/conv_dispatch.hpp); false → generic loop.
+  /// True when the bound convolution variant (core/conv_dispatch.hpp) has a
+  /// compile-time width; false → the runtime-W variant.
   bool conv_specialized = false;
-  /// ConvVariantKey::id() of the bound variant, or the generic sentinel
-  /// kGenericConvVariantId (0xFFFFFFFF) when unspecialized.
-  std::uint32_t conv_variant_id = 0xFFFFFFFFu;
-  /// Human-readable variant name ("avx2.d3.w8.horner"), "generic" otherwise.
+  /// ConvVariantKey::id() of the bound variant.
+  std::uint32_t conv_variant_id = 0;
+  /// Human-readable variant name ("avx2.d3.w8.horner", "sse.d2.wrt.lut").
   /// Also emitted as the obs counter "nufft.conv.variant.<name>".
-  std::string conv_variant = "generic";
+  std::string conv_variant;
   /// Trajectory generation of this plan: 0 for a cold build, incremented by
   /// every non-no-op update_samples / warm derivation. A no-op update
   /// (bitwise-identical coordinates) never bumps it.
@@ -52,9 +51,7 @@ struct OperatorStats {
   std::vector<std::uint64_t> busy_ns_per_context;
 
   // Graceful-degradation record (exec::BatchNufft): set when this apply ran
-  // on the scalar convolution path after a SIMD-path allocation failure, or
   // without selective privatization after its buffers failed to allocate.
-  bool simd_downgraded = false;
   bool privatization_downgraded = false;
 
   /// Fold one scheduler pass into the running totals. busy times accumulate

@@ -1,20 +1,25 @@
-// The window-geometry primitives shared by the generic compute_window and
-// every specialized convolution variant (core/conv_variants.hpp).
+// Part 1 of the convolution (paper Fig. 2): the window geometry primitives
+// and the one window template, detail::window_spec, that both
+// compute_window and every dispatch variant (core/conv_variants.hpp)
+// instantiate.
 //
-// Both callers MUST produce byte-identical windows for the same (k, W, m):
-// the dispatch registry's bit-match contract (tests/test_dispatch.cpp)
-// compares specialized and generic grids bitwise, and the float-rounding
-// trim below is exactly the hazard that diverges first when the expression
-// is re-derived instead of shared. Keep this header free of anything that
-// could be compiled differently across translation units (no FMA-shaped
-// a*b+c arithmetic, no ISA-specific code) — every including TU is built at
-// the baseline ISA.
+// A constexpr-W variant and its runtime-W sibling MUST produce
+// byte-identical windows for the same (k, W, m): the dispatch registry's
+// bit-match contract (tests/test_dispatch.cpp) compares them bitwise, and the
+// float-rounding trim below is exactly the hazard that diverges first when
+// the expression is re-derived instead of shared. Keep this header free of
+// anything that could be compiled differently across translation units (no
+// FMA-shaped a*b+c arithmetic, no ISA-specific code) — every including TU is
+// built at the baseline ISA.
 #pragma once
 
 #include <algorithm>
 #include <cmath>
 
+#include "common/error.hpp"
 #include "common/types.hpp"
+#include "core/convolution.hpp"
+#include "kernels/horner.hpp"
 
 namespace nufft {
 
@@ -59,5 +64,58 @@ inline index_t wrap_grid_index(index_t nx, index_t m) {
   }
   return wrapped;
 }
+
+namespace detail {
+
+/// Part 1 for one sample with compile-time dim and evaluator. W2 = 2W folds
+/// the width into a constant; W2 = 0 reads W from the evaluator at run time
+/// (the runtime-W variants and compute_window). `AVX2ROW` routes the Horner
+/// row evaluation through the AVX2 evaluator (only set for the AVX2 backend,
+/// whose availability the plan already verified). Always inlined: each
+/// variant instantiates it at several call sites, and a call per sample
+/// costs the small-W loops measurably.
+template <int DIM, int W2, bool HORNER, bool AVX2ROW>
+[[gnu::always_inline]] inline void window_spec(const GridDesc& g, const WindowEval& ev, const float* coord,
+                        bool fill_dup, WindowBuf& wb) {
+  // Exact for half-integer widths, so both branches yield the same float.
+  const float W = W2 != 0 ? static_cast<float>(W2) * 0.5f : ev.radius();
+  for (int d = 0; d < DIM; ++d) {
+    const float k = coord[d];
+    const WindowSpan sp = window_span(k, W);
+    NUFFT_DASSERT(sp.len <= WindowBuf::kMaxLen);
+    const index_t m = g.m[static_cast<std::size_t>(d)];
+    wb.start[d] = sp.x1;
+    wb.len[d] = sp.len;
+    if constexpr (!HORNER) {
+      const kernels::KernelLut& lut = *ev.lut;
+      for (int i = 0; i < sp.len; ++i) {
+        const index_t nx = sp.x1 + i;
+        wb.idx[d][i] = wrap_grid_index(nx, m);
+        wb.win[d][i] = lut(std::fabs(static_cast<float>(nx) - k));
+      }
+    } else {
+      for (int i = 0; i < sp.len; ++i) wb.idx[d][i] = wrap_grid_index(sp.x1 + i, m);
+      // Shared abscissa z = x1 − k + W ∈ [0, 1]; one row evaluation covers
+      // the whole window (see kernels/horner.hpp).
+      const float z = static_cast<float>(sp.x1) - k + W;
+      if constexpr (AVX2ROW) {
+        kernels::eval_window_avx2(*ev.horner, z, sp.len, wb.win[d]);
+      } else {
+        ev.horner->eval_window(z, sp.len, wb.win[d]);
+      }
+    }
+  }
+  constexpr int last = DIM - 1;
+  wb.inner_contiguous = wb.start[last] >= 0 &&
+                        wb.start[last] + wb.len[last] <= g.m[static_cast<std::size_t>(last)];
+  if (fill_dup) {
+    for (int i = 0; i < wb.len[last]; ++i) {
+      wb.win_dup[2 * i] = wb.win[last][i];
+      wb.win_dup[2 * i + 1] = wb.win[last][i];
+    }
+  }
+}
+
+}  // namespace detail
 
 }  // namespace nufft

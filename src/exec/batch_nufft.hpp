@@ -10,12 +10,16 @@
 //    the trajectory, not on the data).
 //  * The scheduler — one TDG / priority-queue walk convolves all B slices
 //    per task, so fork/join and queue traffic are paid once.
-//  * Part 2 weight vectors — the multi-slice kernels (batch_conv.hpp) hoist
-//    the wxy·win products out of the slice loop.
+//  * Part 2 weight vectors — the multi-slice kernels (core/batch_conv.hpp)
+//    hoist the wxy·win products out of the slice loop.
 //  * The FFT — pruned to the populated corner rows and run with
 //    column-interleaved batched Stockham stages (batch_fft.hpp).
-//  * Scale/chop/rolloff — the per-row wrap indices and scale factors are
-//    resolved once per grid row, then applied to all B slices.
+//
+// The convolution is the plan's own bound dispatch variant
+// (core/conv_dispatch.hpp) called with the batch width, through the same
+// Nufft::run_interp / run_spread a single apply uses; scale/chop/rolloff is
+// the plan's fused pass, once per slab. What is batch-specific here is the
+// slab storage, the chunking and the privatized-box downgrade.
 //
 // Grid layout: B slabs, batch-major — slice b's oversampled grid occupies
 // [b·grid_elems(), (b+1)·grid_elems()). Within a slab the layout is exactly
@@ -33,8 +37,11 @@
 // Determinism: in scalar mode (PlanConfig::use_simd = false) with one
 // thread, batched results are bit-identical to B single applies — the
 // per-slice scatter/gather/FFT operations execute in the same order with
-// the same associations. The SIMD paths re-associate weight products across
-// the batch and match to rounding (tests pin 1e-5).
+// the same associations. The SIMD multi-slice kernels re-associate weight
+// products across the batch and match to rounding (tests pin 1e-5). A
+// one-slice chunk (B = 1, or a one-slice tail after chunking at max_batch())
+// runs the single-slice kernels and equals a single apply's convolution
+// bitwise.
 #pragma once
 
 #include <memory>
@@ -80,9 +87,8 @@ class BatchNufft {
   const std::vector<TraceEvent>& last_trace() const { return trace_; }
 
   /// Graceful-degradation state (also mirrored into the per-apply stats):
-  /// true once a SIMD-path / privatization-buffer allocation failure has
-  /// downgraded this instance to the scalar / direct-scatter path.
-  bool simd_downgraded() const { return simd_downgraded_; }
+  /// true once a privatization-buffer allocation failure has downgraded
+  /// this instance to the direct-scatter path.
   bool privatization_downgraded() const { return privatization_downgraded_; }
 
  private:
@@ -90,24 +96,11 @@ class BatchNufft {
                      ThreadPool& pool);
   void adjoint_chunk(const cfloat* const* raws, cfloat* const* images, index_t nb,
                      ThreadPool& pool);
-  void clear_slabs(index_t nb, ThreadPool& pool);
-  void batch_image_to_grid(const cfloat* const* images, index_t nb, ThreadPool& pool);
-  void batch_grid_to_image(cfloat* const* images, index_t nb, ThreadPool& pool);
-  template <int DIM>
-  void batch_interp(cfloat* const* raws, index_t nb, ThreadPool& pool);
-  template <int DIM>
-  void batch_spread(const cfloat* const* raws, index_t nb, ThreadPool& pool,
-                    OperatorStats* stats);
+  cfloat* slab(index_t b) { return slabs_.data() + static_cast<std::size_t>(b) * slab_elems_; }
 
   const Nufft* plan_;
   index_t capacity_ = 0;
   std::size_t slab_elems_ = 0;
-  // Effective convolution mode: starts as the plan's resolved mode and is
-  // downgraded (sticky) to kScalar when a SIMD-path allocation fails
-  // mid-apply — the chunk is re-run on the scalar path and the downgrade is
-  // recorded in the apply's OperatorStats.
-  Nufft::ConvMode conv_mode_;
-  bool simd_downgraded_ = false;
   // Set when the private reduction buffers could not be allocated: spreads
   // run every task through the TDG-serialized direct-scatter path instead.
   bool privatization_downgraded_ = false;

@@ -7,7 +7,7 @@
 
 #include "common/error.hpp"
 #include "common/fault.hpp"
-#include "exec/batch_conv.hpp"
+#include "core/batch_conv.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -417,12 +417,31 @@ JobResult NufftEngine::run_job(Job& job, ThreadPool& pool, Running& rec) {
   return result;
 }
 
+NufftEngine::LeasePool& NufftEngine::pool_for(const std::shared_ptr<const Nufft>& plan,
+                                              std::vector<LeasePool>& released) {
+  // A pool whose pin is the last owner of its plan serves a version nobody
+  // can submit again (e.g. superseded by a warm update): hand it to the
+  // caller, which destroys it after dropping lease_mu_ — destroying the plan
+  // joins its thread pool.
+  for (auto it = leases_.begin(); it != leases_.end();) {
+    if (it->second.pin.use_count() == 1) {
+      released.push_back(std::move(it->second));
+      it = leases_.erase(it);
+    } else {
+      ++it;
+    }
+  }
+  LeasePool& lp = leases_[plan.get()];
+  if (!lp.pin) lp.pin = plan;
+  return lp;
+}
+
 std::unique_ptr<Workspace> NufftEngine::lease_workspace(
     const std::shared_ptr<const Nufft>& plan) {
+  std::vector<LeasePool> released;
   {
     std::lock_guard<std::mutex> lock(lease_mu_);
-    LeasePool& lp = leases_[plan.get()];
-    if (!lp.pin) lp.pin = plan;
+    LeasePool& lp = pool_for(plan, released);
     if (!lp.workspaces.empty()) {
       auto ws = std::move(lp.workspaces.back());
       lp.workspaces.pop_back();
@@ -440,10 +459,10 @@ void NufftEngine::return_workspace(const Nufft* plan, std::unique_ptr<Workspace>
 std::unique_ptr<BatchNufft> NufftEngine::lease_batch(const std::shared_ptr<const Nufft>& plan,
                                                      index_t batch) {
   const index_t want = std::min(batch, kMaxBatch);
+  std::vector<LeasePool> released;
   {
     std::lock_guard<std::mutex> lock(lease_mu_);
-    LeasePool& lp = leases_[plan.get()];
-    if (!lp.pin) lp.pin = plan;
+    LeasePool& lp = pool_for(plan, released);
     for (auto it = lp.batches.begin(); it != lp.batches.end(); ++it) {
       if ((*it)->max_batch() >= want) {
         auto bn = std::move(*it);

@@ -15,9 +15,11 @@
 // same jobs sequentially (bitwise, when each worker pool has one thread;
 // see tests/test_exec.cpp).
 //
-// Plans submitted by shared_ptr are pinned by the engine's lease pools
-// until the engine is destroyed, keeping leased buffers shape-compatible
-// with a live plan. The registry overload resolves (and possibly builds)
+// Plans submitted by shared_ptr are pinned by the engine's lease pools,
+// keeping leased buffers shape-compatible with a live plan. A pool whose pin
+// has become its plan's only owner (a version every caller and registry has
+// dropped) is released at the next lease, so a stream of plan versions does
+// not accumulate in the engine. The registry overload resolves (and possibly builds)
 // the plan inside the worker, making plan construction itself asynchronous.
 #pragma once
 
@@ -220,7 +222,8 @@ class NufftEngine {
 
   // Per-plan free lists of leased apply state. `pin` keeps the plan alive
   // while leased buffers exist, so a recycled pointer can never alias a
-  // different plan.
+  // different plan. Declared first, it is destroyed last: the batches and
+  // workspaces (which reference the plan) go before it.
   struct LeasePool {
     std::shared_ptr<const Nufft> pin;
     std::vector<std::unique_ptr<Workspace>> workspaces;
@@ -248,6 +251,9 @@ class NufftEngine {
   JobResult dispatch_job(Job& job, ThreadPool& pool, Running& rec);
   JobResult run_job(Job& job, ThreadPool& pool, Running& rec);
 
+  // Under lease_mu_: the pool for `plan`, pinned on first use. Moves every
+  // pool whose pin is its plan's only owner into `released`.
+  LeasePool& pool_for(const std::shared_ptr<const Nufft>& plan, std::vector<LeasePool>& released);
   std::unique_ptr<Workspace> lease_workspace(const std::shared_ptr<const Nufft>& plan);
   void return_workspace(const Nufft* plan, std::unique_ptr<Workspace> ws);
   std::unique_ptr<BatchNufft> lease_batch(const std::shared_ptr<const Nufft>& plan,

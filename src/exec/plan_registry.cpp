@@ -81,7 +81,6 @@ std::string PlanRegistry::make_key(const GridDesc& g, const datasets::SampleSet&
   append_pod(key, cfg.privatization_factor);
   append_pod(key, static_cast<std::int64_t>(cfg.reorder_tile));
   append_pod(key, static_cast<std::int32_t>(cfg.record_trace));
-  append_pod(key, static_cast<std::int32_t>(cfg.specialize_conv));
   return key;
 }
 

@@ -72,8 +72,7 @@ std::string FuzzConfig::describe() const {
   os << " threads=" << threads << " count=" << count << " style=" << coord_style_name(style)
      << " batch=" << batch << " pq=" << priority_queue << " priv=" << selective_privatization
      << " barrier=" << color_barrier_schedule << " varpart=" << variable_partitions
-     << " reorder=" << reorder << " pfac=" << privatization_factor
-     << " spec=" << specialize_conv;
+     << " reorder=" << reorder << " pfac=" << privatization_factor;
   if (update_frames > 0) {
     os << " frames=" << update_frames << " jitter=" << jitter_fraction;
   }
@@ -205,10 +204,9 @@ FuzzConfig make_fuzz_config(std::uint64_t seed) {
   c.reorder = rng.below(2) == 0;
   // Factor < 1 lowers the Eq. 6 threshold → more privatized tasks.
   c.privatization_factor = rng.below(3) == 0 ? 0.25 : 1.0;
-  // Mostly exercise the specialized dispatch (the production default), but
-  // keep the generic-loop ablation in the pool so divergences between the
-  // two paths keep getting hunted.
-  c.specialize_conv = rng.below(4) != 0;
+  // Unused draw, kept so every later field keeps its value for a given seed
+  // (the pinned regression seeds in test_fuzz.cpp depend on their shapes).
+  (void)rng.below(4);
 
   // Streaming trajectory deltas ride on a share of the seeds. These draws
   // come LAST so every field above keeps its value for a given seed — the

@@ -66,7 +66,6 @@ struct FuzzConfig {
   bool variable_partitions = true;
   bool reorder = true;
   double privatization_factor = 1.0;
-  bool specialize_conv = true;  // dispatch-registry ablation (generic loop when false)
 
   /// > 0: after the main battery, stream this many jittered trajectory
   /// frames through Nufft::update_samples, checking each updated plan

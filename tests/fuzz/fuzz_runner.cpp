@@ -198,7 +198,6 @@ PlanConfig base_config(const FuzzConfig& c) {
   cfg.variable_partitions = c.variable_partitions;
   cfg.reorder = c.reorder;
   cfg.privatization_factor = c.privatization_factor;
-  cfg.specialize_conv = c.specialize_conv;
   return cfg;
 }
 

@@ -1,20 +1,23 @@
 // Convolution dispatch registry (`ctest -L dispatch`).
 //
-// The registry's load-bearing promise is BIT-identity: a plan bound to a
-// specialized (backend, dim, W, evaluator) variant must produce exactly the
-// grids and sample values the generic loop produces — the fallback is a pure
-// performance decision, never a numerical one. These tests enforce that
-// promise variant by variant (spread, interp, and the fused forward scale
-// pass), sweep the boundary coordinates where the float-rounding window trim
-// diverges first, pin the fallback rules, and check the plan-time selection
-// is observable (PlanStats + the obs counter).
+// Per (backend, dim, evaluator) the registry holds one variant per
+// calibrated width with W a compile-time constant, plus one runtime-W
+// variant that every other width binds. Its load-bearing promise is
+// BIT-identity: on the same plan, a constexpr-W variant must produce exactly
+// the grids and sample values its runtime-W sibling produces, so the width
+// table is a pure performance decision. The bit-match tests are written in
+// drjit's TEST_BOTH style — TEST_EACH_VARIANT defines one body and runs it
+// over every registered constexpr-W variant paired with its runtime-W
+// sibling — and compare spread (direct and privatized-box), interp, and the
+// nb = 8 batched entry bitwise. The remaining tests pin the registry shape,
+// the runtime-W binding of uncovered widths, and that the plan-time
+// selection is observable (PlanStats + the obs counter).
 //
-// Everything runs at threads = 1: the work-stealing scheduler makes halo
-// accumulation order nondeterministic across runs at higher widths, which
-// would break bitwise comparison between two plans for reasons unrelated to
-// the dispatch.
+// Variants are driven directly over the plan's tasks, serially and in task
+// order, so the comparison sees no scheduling effects.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <string>
@@ -38,15 +41,16 @@ using datasets::SampleSet;
 using datasets::TrajectoryType;
 using kernels::KernelEval;
 
+constexpr index_t kNb = 8;  // slices of the batched entry
+
 // ---- plan-construction helpers -------------------------------------------
 
 index_t image_n_for(int dim) { return dim == 3 ? 10 : (dim == 2 ? 20 : 64); }
 
 index_t count_for(int dim) { return dim == 3 ? 400 : (dim == 2 ? 350 : 300); }
 
-/// PlanConfig that resolves exactly to `key` at plan time (modulo the
-/// specialize_conv switch, which picks specialized vs generic).
-PlanConfig cfg_for(const ConvVariantKey& key, bool specialize) {
+/// PlanConfig that resolves exactly to `key` at plan time.
+PlanConfig cfg_for(const ConvVariantKey& key) {
   PlanConfig cfg;
   cfg.kernel = key.eval == KernelEval::kHorner ? kernels::KernelType::kEs
                                                : kernels::KernelType::kKaiserBessel;
@@ -54,7 +58,6 @@ PlanConfig cfg_for(const ConvVariantKey& key, bool specialize) {
   cfg.kernel_radius = static_cast<double>(key.width2) / 2.0;
   cfg.lut_samples_per_unit = 512;
   cfg.threads = 1;
-  cfg.specialize_conv = specialize;
   switch (key.backend) {
     case ConvBackend::kScalar:
       cfg.use_simd = false;
@@ -74,7 +77,7 @@ PlanConfig cfg_for(const ConvVariantKey& key, bool specialize) {
 /// Coordinates adjacent to cell boundaries: exact integers, exact
 /// half-integers, and ±1-ulp perturbations of both — the inputs where the
 /// k ± W float-rounding trim admits or rejects an edge neighbour, which is
-/// exactly where a re-derived trim diverges first (satellite bugfix 3).
+/// exactly where a constant-folded trim would diverge first.
 SampleSet boundary_samples(int dim, index_t m, index_t count) {
   SampleSet set;
   set.dim = dim;
@@ -109,7 +112,7 @@ SampleSet boundary_samples(int dim, index_t m, index_t count) {
 
 /// Clustered samples: a tight blob in one corner so at least one task
 /// crosses the (lowered) Eq. 6 privatization threshold — covers the
-/// box-rebased spread path of the specialized variants.
+/// box-rebased spread path of the variants.
 SampleSet clustered_samples(int dim, index_t m, index_t count) {
   SampleSet set;
   set.dim = dim;
@@ -132,66 +135,79 @@ SampleSet clustered_samples(int dim, index_t m, index_t count) {
   return set;
 }
 
-struct PairResult {
-  cvecf spec;
-  cvecf gen;
-};
-
 void expect_bitwise_equal(const cvecf& a, const cvecf& b, const std::string& what) {
   ASSERT_EQ(a.size(), b.size()) << what;
   ASSERT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(cfloat)), 0)
-      << what << ": specialized and generic outputs differ bitwise";
+      << what << ": constexpr-W and runtime-W outputs differ bitwise";
 }
 
-/// Build the specialized/generic plan pair for `key` over `set` and compare
-/// spread grids, interp outputs, and full forward outputs bitwise.
-void compare_variant(const ConvVariantKey& key, const GridDesc& g, const SampleSet& set,
-                     double privatization_factor = 1.0) {
-  PlanConfig spec_cfg = cfg_for(key, true);
-  PlanConfig gen_cfg = cfg_for(key, false);
-  spec_cfg.privatization_factor = privatization_factor;
-  gen_cfg.privatization_factor = privatization_factor;
+/// One variant's outputs over every task of a plan, at nb = 1 ([0]) and
+/// nb = kNb ([1]): the spread grids followed by each privatized task's
+/// box(es), and the interp outputs.
+struct VariantRun {
+  cvecf spread[2];
+  cvecf interp[2];
+};
 
-  Nufft spec(g, set, spec_cfg);
-  Nufft gen(g, set, gen_cfg);
+VariantRun run_variant(const Nufft& plan, const ConvVariant& v, const cvecf& raws,
+                       const cvecf& grids) {
+  const GridDesc& g = plan.grid_desc();
+  const Preprocessed& pp = plan.plan();
+  const auto st = g.grid_strides();
+  const index_t count = plan.sample_count();
+  const auto gsize = static_cast<std::size_t>(g.grid_elems());
+  std::vector<const cfloat*> in(kNb);
+  for (index_t b = 0; b < kNb; ++b) in[static_cast<std::size_t>(b)] = raws.data() + b * count;
 
-  const ConvVariant* v = ConvDispatch::instance().find(key);
-  ASSERT_NE(v, nullptr) << "variant not registered";
-  ASSERT_TRUE(spec.plan_stats().conv_specialized) << v->name;
-  ASSERT_EQ(spec.plan_stats().conv_variant, v->name);
-  ASSERT_EQ(spec.plan_stats().conv_variant_id, key.id());
-  ASSERT_FALSE(gen.plan_stats().conv_specialized);
-  ASSERT_EQ(gen.plan_stats().conv_variant, "generic");
-  ASSERT_EQ(gen.plan_stats().conv_variant_id, kGenericConvVariantId);
+  VariantRun r;
+  for (const int slot : {0, 1}) {
+    const index_t nb = slot == 0 ? 1 : kNb;
+    cvecf& grid = r.spread[slot];
+    grid.assign(static_cast<std::size_t>(nb) * gsize, cfloat(0.0f, 0.0f));
+    cvecf boxes;
+    for (std::size_t k = 0; k < pp.tasks.size(); ++k) {
+      const ConvTask& task = pp.tasks[k];
+      if (!pp.privatized[k]) {
+        v.spread(plan.conv_range(task, false), in.data(), nb, grid.data(), gsize, st);
+        continue;
+      }
+      const auto box_elems = static_cast<std::size_t>(task.box_elems(g.dim));
+      cvecf box(static_cast<std::size_t>(nb) * box_elems, cfloat(0.0f, 0.0f));
+      v.spread(plan.conv_range(task, true), in.data(), nb, box.data(), box_elems,
+               task.box_strides(g.dim));
+      boxes.insert(boxes.end(), box.begin(), box.end());
+    }
+    grid.insert(grid.end(), boxes.begin(), boxes.end());
 
-  const index_t count = set.count();
-  const cvecf raw = testing::random_raw(count, 7);
-  const cvecf img = testing::random_image(g.image_elems(), 8);
-
-  // Adjoint Part 1+2 (spread), including the privatize/reduce machinery.
-  spec.spread(raw.data());
-  gen.spread(raw.data());
-  {
-    cvecf gs(spec.grid_data(), spec.grid_data() + g.grid_elems());
-    cvecf gg(gen.grid_data(), gen.grid_data() + g.grid_elems());
-    expect_bitwise_equal(gs, gg, v->name + " spread");
+    cvecf& out = r.interp[slot];
+    out.assign(static_cast<std::size_t>(nb * count), cfloat(0.0f, 0.0f));
+    std::vector<cfloat*> outs(static_cast<std::size_t>(nb));
+    for (index_t b = 0; b < nb; ++b) outs[static_cast<std::size_t>(b)] = out.data() + b * count;
+    for (const ConvTask& task : pp.tasks) {
+      v.interp(plan.conv_range(task, false), grids.data(), gsize, st, outs.data(), nb);
+    }
   }
+  return r;
+}
 
-  // Forward Part 1+2 (interp) from identical grids.
-  {
-    cvecf rs(static_cast<std::size_t>(count)), rg(static_cast<std::size_t>(count));
-    spec.interp(rs.data());
-    gen.interp(rg.data());
-    expect_bitwise_equal(rs, rg, v->name + " interp");
-  }
+/// Plan `set` under `cfg` (which resolves to `fixed`'s key), check the plan
+/// binds `fixed`, and compare `fixed` against `runtime` on that plan.
+void compare_pair(const ConvVariant& fixed, const ConvVariant& runtime, const GridDesc& g,
+                  const SampleSet& set, const PlanConfig& cfg) {
+  const Nufft plan(g, set, cfg);
+  ASSERT_EQ(&plan.conv_variant(), &fixed);
+  ASSERT_TRUE(plan.plan_stats().conv_specialized);
+  ASSERT_EQ(plan.plan_stats().conv_variant, fixed.name);
+  ASSERT_EQ(plan.plan_stats().conv_variant_id, fixed.key.id());
 
-  // Full forward: also exercises the fused image_to_grid scale pass the
-  // specialized plans take versus the generic clear+scatter passes.
-  {
-    cvecf rs(static_cast<std::size_t>(count)), rg(static_cast<std::size_t>(count));
-    spec.forward(img.data(), rs.data());
-    gen.forward(img.data(), rg.data());
-    expect_bitwise_equal(rs, rg, v->name + " forward");
+  const cvecf raws = testing::random_raw(kNb * set.count(), 7);
+  const cvecf grids = testing::random_image(kNb * g.grid_elems(), 8);
+  const VariantRun a = run_variant(plan, fixed, raws, grids);
+  const VariantRun b = run_variant(plan, runtime, raws, grids);
+  for (const int slot : {0, 1}) {
+    const std::string nb = slot == 0 ? " nb=1" : " nb=8";
+    expect_bitwise_equal(a.spread[slot], b.spread[slot], fixed.name + " spread" + nb);
+    expect_bitwise_equal(a.interp[slot], b.interp[slot], fixed.name + " interp" + nb);
   }
 }
 
@@ -199,16 +215,40 @@ bool backend_available(ConvBackend b) {
   return b != ConvBackend::kAvx2 || avx2_available();
 }
 
+/// Run `body(fixed, runtime)` over every registered constexpr-W variant the
+/// CPU can execute, paired with its runtime-W sibling.
+void for_each_variant_pair(void (*body)(const ConvVariant&, const ConvVariant&)) {
+  const ConvDispatch& reg = ConvDispatch::instance();
+  for (const ConvVariant& v : reg.variants()) {
+    if (v.key.width2 == 0 || !backend_available(v.key.backend)) continue;
+    ConvVariantKey rk = v.key;
+    rk.width2 = 0;
+    const ConvVariant* rt = reg.find(rk);
+    ASSERT_NE(rt, nullptr) << v.name;
+    SCOPED_TRACE(v.name + " vs " + rt->name);
+    body(v, *rt);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+/// drjit's TEST_BOTH idiom: one body, declared once, run by a gtest case
+/// over every registered (backend, dim, W, evaluator) variant pair.
+#define TEST_EACH_VARIANT(suite, name)                                       \
+  void suite##_##name(const ConvVariant& fixed, const ConvVariant& runtime); \
+  TEST(suite, name) { for_each_variant_pair(&suite##_##name); }              \
+  void suite##_##name(const ConvVariant& fixed, const ConvVariant& runtime)
+
 // ---- registry shape -------------------------------------------------------
 
 TEST(ConvDispatchRegistry, CoversEveryCalibratedCombination) {
   const auto& variants = ConvDispatch::instance().variants();
-  EXPECT_EQ(variants.size(), 90u);  // 3 backends × 3 dims × 5 widths × 2 evals
+  // 3 backends × 3 dims × 2 evals × (5 constexpr widths + the runtime width).
+  EXPECT_EQ(variants.size(), 108u);
 
   for (const ConvBackend b :
        {ConvBackend::kScalar, ConvBackend::kSse, ConvBackend::kAvx2}) {
     for (std::uint8_t dim = 1; dim <= 3; ++dim) {
-      for (std::uint8_t w2 = ConvDispatch::kMinWidth2; w2 <= ConvDispatch::kMaxWidth2; ++w2) {
+      for (const std::uint8_t w2 : {0, 4, 5, 6, 7, 8}) {
         for (const KernelEval e : {KernelEval::kLut, KernelEval::kHorner}) {
           const ConvVariantKey key{b, dim, w2, e};
           const ConvVariant* v = ConvDispatch::instance().find(key);
@@ -218,6 +258,7 @@ TEST(ConvDispatchRegistry, CoversEveryCalibratedCombination) {
           EXPECT_NE(v->spread, nullptr);
           EXPECT_NE(v->interp, nullptr);
           EXPECT_EQ(v->key.id(), key.id());
+          EXPECT_EQ(v->name.find(".wrt.") != std::string::npos, w2 == 0) << v->name;
         }
       }
     }
@@ -225,11 +266,13 @@ TEST(ConvDispatchRegistry, CoversEveryCalibratedCombination) {
 }
 
 TEST(ConvDispatchRegistry, UnknownKeysFindNothing) {
+  // Uncovered widths bind width2 = 0, never a key of their own.
   const auto& reg = ConvDispatch::instance();
   EXPECT_EQ(reg.find({ConvBackend::kScalar, 1, 3, KernelEval::kLut}), nullptr);   // W=1.5
   EXPECT_EQ(reg.find({ConvBackend::kScalar, 1, 9, KernelEval::kLut}), nullptr);   // W=4.5
   EXPECT_EQ(reg.find({ConvBackend::kAvx2, 4, 8, KernelEval::kHorner}), nullptr);  // dim 4
   EXPECT_EQ(reg.find({ConvBackend::kAvx2, 0, 8, KernelEval::kHorner}), nullptr);
+  EXPECT_EQ(reg.find({ConvBackend::kSse, 4, 0, KernelEval::kLut}), nullptr);
 }
 
 TEST(ConvDispatchRegistry, Width2RecognizesOnlyCalibratedHalfIntegerWidths) {
@@ -246,7 +289,7 @@ TEST(ConvDispatchRegistry, Width2RecognizesOnlyCalibratedHalfIntegerWidths) {
 
 TEST(HornerAvx2, LaneExactWithScalarRecurrence) {
   if (!avx2_available()) GTEST_SKIP() << "no AVX2+FMA on this CPU";
-  for (const double W : {2.0, 2.5, 3.0, 4.0}) {
+  for (const double W : {1.5, 2.0, 2.5, 3.0, 4.0, 4.5}) {
     const kernels::EsKernel es(W, 2.0);
     const kernels::KernelHorner h(es);
     ASSERT_EQ(h.stride() % 8, 0) << "AVX2 row evaluation needs 8-float rows";
@@ -268,110 +311,83 @@ TEST(HornerAvx2, LaneExactWithScalarRecurrence) {
 
 // ---- the bit-match matrix -------------------------------------------------
 
-TEST(ConvDispatchBitMatch, EveryVariantMatchesGenericOnRandomPlans) {
-  for (const ConvVariant& v : ConvDispatch::instance().variants()) {
-    if (!backend_available(v.key.backend)) continue;
-    const int dim = v.key.dim;
-    const index_t n = image_n_for(dim);
-    const GridDesc g = make_grid(dim, n, 2.0);
-    const auto set = testing::small_trajectory(TrajectoryType::kRandom, dim, n,
-                                               count_for(dim), 31 + v.key.id() % 17);
-    SCOPED_TRACE(v.name);
-    compare_variant(v.key, g, set);
-    if (::testing::Test::HasFatalFailure()) return;
-  }
+TEST_EACH_VARIANT(ConvDispatchBitMatch, EveryVariantMatchesRuntimeWidthOnRandomPlans) {
+  const int dim = fixed.key.dim;
+  const index_t n = image_n_for(dim);
+  const GridDesc g = make_grid(dim, n, 2.0);
+  const auto set = testing::small_trajectory(TrajectoryType::kRandom, dim, n, count_for(dim),
+                                             31 + fixed.key.id() % 17);
+  compare_pair(fixed, runtime, g, set, cfg_for(fixed.key));
 }
 
-TEST(ConvDispatchBitMatch, BoundaryCoordinateSweep) {
-  // Satellite bugfix 3: the float-rounding trim must behave identically in
-  // every specialized variant, so coordinates pinned to (and 1 ulp around)
-  // cell boundaries — where the trim decides whether the edge neighbour is
-  // in or out — must produce bitwise-equal grids.
-  for (const ConvVariant& v : ConvDispatch::instance().variants()) {
-    if (!backend_available(v.key.backend)) continue;
-    const int dim = v.key.dim;
-    const index_t n = image_n_for(dim);
-    const GridDesc g = make_grid(dim, n, 2.0);
-    const auto set = boundary_samples(dim, g.m[0], count_for(dim));
-    SCOPED_TRACE(v.name);
-    compare_variant(v.key, g, set);
-    if (::testing::Test::HasFatalFailure()) return;
-  }
+TEST_EACH_VARIANT(ConvDispatchBitMatch, BoundaryCoordinateSweep) {
+  // Coordinates pinned to (and 1 ulp around) cell boundaries — where the
+  // float-rounding trim decides whether the edge neighbour is in or out —
+  // must produce bitwise-equal grids whether W is folded or read at run time.
+  const int dim = fixed.key.dim;
+  const GridDesc g = make_grid(dim, image_n_for(dim), 2.0);
+  compare_pair(fixed, runtime, g, boundary_samples(dim, g.m[0], count_for(dim)),
+               cfg_for(fixed.key));
 }
 
-TEST(ConvDispatchBitMatch, PrivatizedTasksMatchGeneric) {
+TEST_EACH_VARIANT(ConvDispatchBitMatch, PrivatizedTasksMatchRuntimeWidth) {
   // Clustered samples + a lowered threshold push tasks onto the privatized
-  // (box-local, rebased-index) spread path at threads = 1, deterministically.
-  for (const ConvBackend b :
-       {ConvBackend::kScalar, ConvBackend::kSse, ConvBackend::kAvx2}) {
-    if (!backend_available(b)) continue;
-    for (const KernelEval e : {KernelEval::kLut, KernelEval::kHorner}) {
-      const ConvVariantKey key{b, 2, 8, e};
-      const index_t n = image_n_for(2);
-      const GridDesc g = make_grid(2, n, 2.0);
-      const auto set = clustered_samples(2, g.m[0], 600);
-      SCOPED_TRACE(std::string(conv_backend_name(b)) +
-                   (e == KernelEval::kHorner ? ".horner" : ".lut"));
-      compare_variant(key, g, set, /*privatization_factor=*/0.25);
-      if (::testing::Test::HasFatalFailure()) return;
-    }
-  }
+  // (box-local, rebased-index) spread path. Privatization needs a plan for
+  // more than one thread; the variants still run serially here.
+  const int dim = fixed.key.dim;
+  const GridDesc g = make_grid(dim, image_n_for(dim), 2.0);
+  const auto set = clustered_samples(dim, g.m[0], 600);
+  PlanConfig cfg = cfg_for(fixed.key);
+  cfg.threads = 2;
+  cfg.privatization_factor = 0.25;
+  ASSERT_GT(preprocess(g, set, cfg).stats.privatized_tasks, 0) << "no privatized task";
+  compare_pair(fixed, runtime, g, set, cfg);
 }
 
-// ---- fallback rules --------------------------------------------------------
+// ---- runtime-W binding -----------------------------------------------------
 
-TEST(ConvDispatchFallback, UncoveredShapesRouteToGeneric) {
+TEST(ConvDispatchFallback, UncoveredWidthsBindRuntimeWidthVariant) {
   const int dim = 2;
   const index_t n = image_n_for(dim);
   const GridDesc g = make_grid(dim, n, 2.0);
   const auto set = testing::small_trajectory(TrajectoryType::kRadial, dim, n, 300);
 
-  // W below the calibrated set.
-  {
-    PlanConfig cfg;
-    cfg.kernel_radius = 1.5;
-    cfg.threads = 1;
-    Nufft plan(g, set, cfg);
-    EXPECT_FALSE(plan.plan_stats().conv_specialized);
-    EXPECT_EQ(plan.plan_stats().conv_variant, "generic");
-    EXPECT_EQ(plan.plan_stats().conv_variant_id, kGenericConvVariantId);
+  for (const double W : {1.5, 2.3, 4.5}) {
+    for (const KernelEval e : {KernelEval::kLut, KernelEval::kHorner}) {
+      if (e == KernelEval::kHorner && W == 2.3) continue;  // Horner needs half-integer W
+      PlanConfig cfg;
+      cfg.kernel_radius = W;
+      cfg.threads = 1;
+      cfg.eval = e;
+      if (e == KernelEval::kHorner) cfg.kernel = kernels::KernelType::kEs;
+      const Nufft plan(g, set, cfg);
+      const ConvVariantKey key{plan.conv_mode(), static_cast<std::uint8_t>(dim), 0, e};
+      const ConvVariant* v = ConvDispatch::instance().find(key);
+      ASSERT_NE(v, nullptr);
+      SCOPED_TRACE(v->name + " W=" + std::to_string(W));
+      EXPECT_EQ(&plan.conv_variant(), v);
+      EXPECT_FALSE(plan.plan_stats().conv_specialized);
+      EXPECT_EQ(plan.plan_stats().conv_variant, v->name);
+      EXPECT_EQ(plan.plan_stats().conv_variant_id, key.id());
+    }
   }
-  // Non-half-integer W (LUT — Horner requires half-integer widths anyway).
-  {
-    PlanConfig cfg;
-    cfg.kernel_radius = 2.3;
-    cfg.threads = 1;
-    Nufft plan(g, set, cfg);
-    EXPECT_FALSE(plan.plan_stats().conv_specialized);
-  }
-  // The explicit ablation switch.
-  {
-    PlanConfig cfg;
-    cfg.specialize_conv = false;
-    cfg.threads = 1;
-    Nufft plan(g, set, cfg);
-    EXPECT_FALSE(plan.plan_stats().conv_specialized);
-    EXPECT_EQ(plan.plan_stats().conv_variant, "generic");
-  }
-  // A covered shape binds — and to the key the config implies, with the
-  // kAuto ISA resolving to the widest available backend.
-  {
-    PlanConfig cfg;
-    cfg.threads = 1;  // default W = 4.0, KB + LUT
-    cfg.isa = SimdIsa::kAuto;
-    Nufft plan(g, set, cfg);
-    EXPECT_TRUE(plan.plan_stats().conv_specialized);
-    const char* backend = avx2_available() ? "avx2" : "sse";
-    EXPECT_EQ(plan.plan_stats().conv_variant, std::string(backend) + ".d2.w8.lut");
-  }
+  // A covered shape binds the constexpr-W variant the config implies, with
+  // the kAuto ISA resolving to the widest available backend.
+  PlanConfig cfg;
+  cfg.threads = 1;  // default W = 4.0, KB + LUT
+  cfg.isa = SimdIsa::kAuto;
+  const Nufft plan(g, set, cfg);
+  EXPECT_TRUE(plan.plan_stats().conv_specialized);
+  const char* backend = avx2_available() ? "avx2" : "sse";
+  EXPECT_EQ(plan.plan_stats().conv_variant, std::string(backend) + ".d2.w8.lut");
 }
 
 // ---- plan-time observability -----------------------------------------------
 
 TEST(ConvDispatchObs, ToleranceDrivenEsPlanSelectsHornerVariantAndCounts) {
-  // Acceptance criterion: a tolerance-planned ES config must bind the
-  // Horner variant (AVX2 on this hardware) and the selection must be
-  // observable through the obs counter.
+  // A tolerance-planned ES config must bind the Horner variant (AVX2 on
+  // hardware that has it) and the selection must be observable through the
+  // obs counter.
   const int dim = 3;
   const index_t n = image_n_for(dim);
   const GridDesc g = make_grid(dim, n, 2.0);

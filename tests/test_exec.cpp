@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstring>
 #include <filesystem>
 #include <future>
@@ -402,6 +403,40 @@ TEST(NufftEngine, BatchedJobsMatchSingles) {
               1e-5)
         << "slice " << b;
   }
+}
+
+TEST(NufftEngine, LeasePoolsReleaseSupersededPlanVersions) {
+  // The lease pools pin every plan they hold buffers for; once the caller
+  // drops an old plan version the pin is its only owner, and the next lease
+  // must release it rather than keep every version alive for the engine's
+  // lifetime.
+  Fixture f = make_fixture(2);
+  PlanConfig cfg;
+  cfg.threads = 1;
+  exec::EngineConfig ec;
+  ec.workers = 1;  // jobs run one after another, so no job still holds a version
+  NufftEngine engine(ec);
+
+  cvecf imgs(static_cast<std::size_t>(kBatch * f.g.image_elems()));
+  cvecf raws(static_cast<std::size_t>(kBatch * f.set.count()));
+  auto plan = std::make_shared<const Nufft>(f.g, f.set, cfg);
+  std::vector<std::weak_ptr<const Nufft>> dropped;
+  datasets::SampleSet frame = f.set;
+  for (int version = 0; version < 3; ++version) {
+    // Lease both kinds of apply state: a workspace and a batch.
+    engine.submit(exec::Op::kForward, plan, imgs.data(), raws.data()).get();
+    engine.submit(exec::Op::kAdjoint, plan, raws.data(), imgs.data(), kBatch).get();
+    // Every version dropped before this one's leases has been released.
+    for (const auto& old : dropped) EXPECT_TRUE(old.expired()) << "version " << version;
+    dropped.push_back(plan);
+    frame.coords[0][0] = std::fmod(frame.coords[0][0] + 0.25f, static_cast<float>(frame.m));
+    plan = std::make_shared<const Nufft>(*plan, frame);  // warm-derived next version
+    EXPECT_EQ(plan->plan_stats().generation, static_cast<std::uint64_t>(version + 1));
+  }
+  // The last dropped version stays pinned until the next lease.
+  EXPECT_FALSE(dropped.back().expired());
+  engine.submit(exec::Op::kForward, plan, imgs.data(), raws.data()).get();
+  for (const auto& old : dropped) EXPECT_TRUE(old.expired()) << "a superseded version is pinned";
 }
 
 // --- Failure handling ------------------------------------------------------

@@ -366,55 +366,6 @@ TEST_F(FaultTest, EnvProbSpecArmsSites) {
 
 // --- BatchNufft graceful degradation ---------------------------------------
 
-TEST_F(FaultTest, SimdAllocFailureDegradesToScalarWithinTolerance) {
-  Fixture f = make_fixture();
-  PlanConfig cfg;
-  cfg.use_simd = true;
-  cfg.isa = SimdIsa::kSse;
-  cfg.threads = 1;
-  Nufft plan(f.g, f.set, cfg);
-
-  std::vector<cvecf> ref(kBatch, cvecf(static_cast<std::size_t>(f.set.count())));
-  for (index_t b = 0; b < kBatch; ++b) plan.forward(f.images[b].data(), ref[b].data());
-
-  BatchNufft batch(plan, kBatch);
-  EXPECT_FALSE(batch.simd_downgraded());
-  std::vector<const cfloat*> in;
-  std::vector<cfloat*> out;
-  std::vector<cvecf> got(kBatch, cvecf(static_cast<std::size_t>(f.set.count())));
-  for (index_t b = 0; b < kBatch; ++b) {
-    in.push_back(f.images[b].data());
-    out.push_back(got[b].data());
-  }
-
-  fault::arm("batch.simd_alloc", 1);
-  batch.forward(in.data(), out.data(), kBatch);
-  EXPECT_EQ(fault::fired("batch.simd_alloc"), 1u);
-  EXPECT_TRUE(batch.simd_downgraded());
-  EXPECT_TRUE(batch.last_forward_stats().simd_downgraded);
-  for (index_t b = 0; b < kBatch; ++b) {
-    EXPECT_LT(testing::rel_err(got[b].data(), ref[b].data(), f.set.count()), 1e-5)
-        << "slice " << b;
-  }
-
-  // The downgrade is sticky and the instance stays serviceable.
-  std::vector<cvecf> aref(kBatch, cvecf(static_cast<std::size_t>(f.g.image_elems())));
-  for (index_t b = 0; b < kBatch; ++b) plan.adjoint(f.raws[b].data(), aref[b].data());
-  std::vector<const cfloat*> rin;
-  std::vector<cfloat*> iout;
-  std::vector<cvecf> agot(kBatch, cvecf(static_cast<std::size_t>(f.g.image_elems())));
-  for (index_t b = 0; b < kBatch; ++b) {
-    rin.push_back(f.raws[b].data());
-    iout.push_back(agot[b].data());
-  }
-  batch.adjoint(rin.data(), iout.data(), kBatch);
-  EXPECT_TRUE(batch.last_adjoint_stats().simd_downgraded);
-  for (index_t b = 0; b < kBatch; ++b) {
-    EXPECT_LT(testing::rel_err(agot[b].data(), aref[b].data(), f.g.image_elems()), 1e-5)
-        << "slice " << b;
-  }
-}
-
 TEST_F(FaultTest, PrivateBufferAllocFailureFallsBackToDirectScatter) {
   Fixture f = make_fixture();
   PlanConfig cfg;

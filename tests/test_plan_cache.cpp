@@ -2,11 +2,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 
 #include "common/error.hpp"
 #include "common/timer.hpp"
+#include "core/conv_dispatch.hpp"
 #include "core/nufft.hpp"
 #include "core/plan_cache.hpp"
 #include "core/tolerance.hpp"
@@ -130,19 +132,45 @@ TEST(PlanCache, RejectsDifferentKernelIdentity) {
   EXPECT_THROW(deserialize_plan(blob.data(), blob.size(), f.g, f.set, denser), Error);
 }
 
+// Byte offset of the dispatch identity in a blob: magic, version, dim, the
+// grid extents, then the kernel identity (family, radius, LUT density,
+// evaluator).
+std::size_t dispatch_id_offset(const GridDesc& g) {
+  return 3 * sizeof(std::uint32_t) + static_cast<std::size_t>(g.dim) * sizeof(index_t) +
+         sizeof(std::int32_t) + sizeof(double) + 2 * sizeof(std::int32_t);
+}
+
 TEST(PlanCache, DispatchIdentityMismatchRejected) {
-  // v3 records the convolution dispatch identity (specialize_conv, dim,
-  // calibrated width2, evaluator): a blob serialized under the specialized
-  // hot path must not restore into a plan configured for the generic loop
-  // (or vice versa) — that plan would silently run a different convolution
-  // path than the one it was validated with.
+  // The blob records the backend-agnostic convolution dispatch identity
+  // (dim, registry width2, evaluator): a blob whose identity differs from
+  // the restoring config's must not restore — that plan would silently run a
+  // different convolution variant than the one it was validated with.
   Fixture f;
   const auto pp = preprocess(f.g, f.set, f.cfg);
-  const auto blob = serialize_plan(pp, f.g, f.cfg);
+  auto blob = serialize_plan(pp, f.g, f.cfg);
 
-  PlanConfig other = f.cfg;
-  other.specialize_conv = !other.specialize_conv;
-  EXPECT_THROW(deserialize_plan(blob.data(), blob.size(), f.g, f.set, other), Error);
+  std::uint32_t id = 0;
+  std::memcpy(&id, blob.data() + dispatch_id_offset(f.g), sizeof(id));
+  ASSERT_EQ(id, conv_dispatch_id(f.cfg, f.g.dim));
+  id ^= 1u << 8;  // another registry width
+  std::memcpy(blob.data() + dispatch_id_offset(f.g), &id, sizeof(id));
+  EXPECT_THROW(deserialize_plan(blob.data(), blob.size(), f.g, f.set, f.cfg), Error);
+}
+
+TEST(PlanCache, StaleV3BlobRejected) {
+  // v4 dropped the registry on/off flag from the dispatch identity; a v3
+  // blob is stale and must be rejected as corrupt, never half-parsed.
+  Fixture f;
+  const auto pp = preprocess(f.g, f.set, f.cfg);
+  auto blob = serialize_plan(pp, f.g, f.cfg);
+  const std::uint32_t v3 = 3;
+  std::memcpy(blob.data() + sizeof(std::uint32_t), &v3, sizeof(v3));
+  try {
+    deserialize_plan(blob.data(), blob.size(), f.g, f.set, f.cfg);
+    FAIL() << "v3 blob restored";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kIoCorruption);
+  }
 }
 
 TEST(PlanCache, ToleranceConfigCanonicalizesToResolvedIdentity) {

@@ -3,8 +3,8 @@
 # wire-protocol fuzz and the streaming trajectory-delta battery), the
 # tolerance-contract harness (`ctest -L accuracy`),
 # the parallel-preprocessing suite (`ctest -L preproc`),
-# the convolution-dispatch suite (`ctest -L dispatch`, the specialized-vs-
-# generic bit-match matrix and the boundary-coordinate trim sweep),
+# the convolution-dispatch suite (`ctest -L dispatch`, the constexpr-W vs
+# runtime-W bit-match matrix and the boundary-coordinate trim sweep),
 # the streaming plan-update suite (`ctest -L streaming`, the warm-vs-cold
 # bit-match matrix — under TSan this races concurrent update-vs-apply paths
 # on the pool), the serving-layer suite (`ctest -L serve`) and the chaos
