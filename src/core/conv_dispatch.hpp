@@ -1,5 +1,5 @@
 // Backend dispatch registry for the convolution hot path — the only sample
-// loop of both Nufft and exec::BatchNufft.
+// loop of every apply (single, batched and engine).
 //
 // The paper's core claim is that spreading/interpolation dominates NUFFT
 // runtime and is won or lost in the inner loop. Each registered variant is

@@ -1,10 +1,14 @@
 #include "core/nufft.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <new>
 
 #include "common/error.hpp"
+#include "common/fault.hpp"
 #include "common/timer.hpp"
+#include "core/batch_conv.hpp"
 #include "core/conv_dispatch.hpp"
 #include "core/convolution_avx2.hpp"
 #include "core/tolerance.hpp"
@@ -97,11 +101,6 @@ Nufft::Nufft(const GridDesc& g, const datasets::SampleSet& samples, const PlanCo
     pp_ = preprocess(g_, samples, cfg_, *pool_);
   }
 
-  std::vector<std::size_t> dims;
-  for (int d = 0; d < g.dim; ++d) dims.push_back(static_cast<std::size_t>(g.m[static_cast<std::size_t>(d)]));
-  fft_fwd_ = std::make_shared<fft::FftNd<float>>(dims, fft::Direction::kForward);
-  fft_inv_ = std::make_shared<fft::FftNd<float>>(dims, fft::Direction::kInverse);
-
   // Rolloff precompensation with the ±1 chop baked in per dimension:
   // scale[d][i] = (−1)^(i − N/2) / apodization(i − N/2).
   const auto kernel = kernels::make_kernel(cfg_.kernel, cfg_.kernel_radius, g.alpha);
@@ -136,6 +135,7 @@ Nufft::Nufft(const GridDesc& g, const datasets::SampleSet& samples, const PlanCo
     }
     scale_[static_cast<std::size_t>(d)] = std::move(s);
   }
+  fft_ = std::make_shared<const BatchFft>(g_, wrap_);
 
   // The LUT lives in the plan for the whole lifetime; Horner plans fit their
   // piecewise polynomials alongside it (the LUT stays available for
@@ -165,8 +165,7 @@ Nufft::Nufft(const Nufft& src, const datasets::SampleSet& new_samples, const Upd
 
   // Everything below depends only on (grid, cfg), both preserved verbatim —
   // share the immutable tables instead of rebuilding them.
-  fft_fwd_ = src.fft_fwd_;
-  fft_inv_ = src.fft_inv_;
+  fft_ = src.fft_;
   scale_ = src.scale_;
   wrap_ = src.wrap_;
   inv_wrap_ = src.inv_wrap_;
@@ -195,16 +194,6 @@ UpdatePath Nufft::update_samples(const datasets::SampleSet& new_samples,
   nsamples_ = new_samples.count();
   ++plan_stats_.generation;
   plan_stats_.warm_updated = path == UpdatePath::kWarm;
-  // Reconcile the plan-owned workspace with the new privatization marks:
-  // keep already-sized buffers, size newly privatized ones, release the rest.
-  ws_.private_bufs.resize(pp_.tasks.size());
-  for (std::size_t k = 0; k < pp_.tasks.size(); ++k) {
-    if (pp_.privatized[k]) {
-      ws_.private_bufs[k].resize(static_cast<std::size_t>(pp_.tasks[k].box_elems(g_.dim)));
-    } else if (!ws_.private_bufs[k].empty()) {
-      cvecf().swap(ws_.private_bufs[k]);
-    }
-  }
   return path;
 }
 
@@ -224,16 +213,38 @@ ConvRange Nufft::conv_range(const ConvTask& task, bool box_local) const {
   return r;
 }
 
-Workspace Nufft::make_workspace() const {
+Workspace Nufft::make_workspace(index_t capacity) const {
   Workspace ws;
-  ws.grid.resize(static_cast<std::size_t>(g_.grid_elems()));
-  ws.private_bufs.resize(pp_.tasks.size());
-  for (std::size_t k = 0; k < pp_.tasks.size(); ++k) {
-    if (pp_.privatized[k]) {
-      ws.private_bufs[k].resize(static_cast<std::size_t>(pp_.tasks[k].box_elems(g_.dim)));
-    }
-  }
+  ws.capacity = std::clamp<index_t>(capacity, 1, kMaxBatch);
+  // The grids are the irreducible working set — without them there is no
+  // apply at all, so this allocation failure propagates.
+  ws.grid.resize(static_cast<std::size_t>(ws.capacity) *
+                 static_cast<std::size_t>(g_.grid_elems()));
+  fit_private_bufs(ws);
   return ws;
+}
+
+void Nufft::fit_private_bufs(Workspace& ws) const {
+  if (ws.privatization_downgraded) return;
+  // The private buffers are an optimization: when they cannot be allocated
+  // (capacity × box_elems per over-dense task can dwarf the grids on dense
+  // trajectories), degrade to the TDG-serialized direct-scatter path instead
+  // of failing. Already-sized buffers are kept, stale ones released.
+  try {
+    fault::inject_alloc("batch.private_alloc");
+    ws.private_bufs.resize(pp_.tasks.size());
+    for (std::size_t k = 0; k < pp_.tasks.size(); ++k) {
+      if (pp_.privatized[k]) {
+        ws.private_bufs[k].resize(static_cast<std::size_t>(ws.capacity) *
+                                  static_cast<std::size_t>(pp_.tasks[k].box_elems(g_.dim)));
+      } else if (!ws.private_bufs[k].empty()) {
+        cvecf().swap(ws.private_bufs[k]);
+      }
+    }
+  } catch (const std::bad_alloc&) {
+    std::vector<cvecf>().swap(ws.private_bufs);
+    ws.privatization_downgraded = true;
+  }
 }
 
 std::size_t Nufft::workspace_bytes() const {
@@ -250,7 +261,9 @@ void Nufft::clear_grid(cfloat* grid, std::size_t n, ThreadPool& pool) {
   });
 }
 
-void Nufft::clear_grid() { clear_grid(ws_.grid.data(), ws_.grid.size(), *pool_); }
+void Nufft::clear_grid() {
+  clear_grid(ws_.grid.data(), static_cast<std::size_t>(g_.grid_elems()), *pool_);
+}
 
 void Nufft::image_to_grid(const cfloat* image, cfloat* grid, ThreadPool& pool) const {
   // One sweep over the grid writing every cell exactly once (zero padding or
@@ -352,9 +365,10 @@ void Nufft::grid_to_image(cfloat* image) const {
   grid_to_image(ws_.grid.data(), image, *pool_);
 }
 
-void Nufft::run_interp(const cfloat* grid, std::size_t slab_stride, cfloat* const* outs,
-                       index_t nb, ThreadPool& pool) const {
+void Nufft::run_interp(const cfloat* grid, cfloat* const* outs, index_t nb,
+                       ThreadPool& pool) const {
   const auto st = g_.grid_strides();
+  const auto slab_stride = static_cast<std::size_t>(g_.grid_elems());
   const ConvInterpFn fn = conv_variant_->interp;
   pool.parallel_for_tid(static_cast<int>(pp_.tasks.size()), 1, [&](int, index_t kb, index_t ke) {
     for (index_t k = kb; k < ke; ++k) {
@@ -366,17 +380,21 @@ void Nufft::run_interp(const cfloat* grid, std::size_t slab_stride, cfloat* cons
 
 void Nufft::interp(cfloat* raw) {
   cfloat* const outs[1] = {raw};
-  run_interp(ws_.grid.data(), ws_.grid.size(), outs, 1, *pool_);
+  run_interp(ws_.grid.data(), outs, 1, *pool_);
 }
 
-std::vector<TraceEvent> Nufft::run_spread(const cfloat* const* raws, index_t nb, cfloat* grid,
-                                          std::size_t slab_stride,
-                                          std::vector<cvecf>& private_bufs,
-                                          const std::vector<char>& privatized, ThreadPool& pool,
-                                          OperatorStats* stats) const {
+std::vector<TraceEvent> Nufft::run_spread(const cfloat* const* raws, index_t nb, Workspace& ws,
+                                          ThreadPool& pool, OperatorStats* stats) const {
   const int dim = g_.dim;
   const auto st = g_.grid_strides();
   const ConvSpreadFn fn = conv_variant_->spread;
+  cfloat* const grid = ws.grid.data();
+  const auto slab_stride = static_cast<std::size_t>(g_.grid_elems());
+  std::vector<cvecf>& private_bufs = ws.private_bufs;
+  // A downgraded workspace has no private buffers: an all-zero mask routes
+  // every task through the TDG-serialized direct-scatter path.
+  const std::vector<char> none(ws.privatization_downgraded ? pp_.tasks.size() : 0, 0);
+  const std::vector<char>& privatized = ws.privatization_downgraded ? none : pp_.privatized;
 
   auto body = [&](int task_id, int, JobPhase phase) {
     const ConvTask& task = pp_.tasks[static_cast<std::size_t>(task_id)];
@@ -431,9 +449,8 @@ std::vector<TraceEvent> Nufft::run_spread(const cfloat* const* raws, index_t nb,
     sstats = run_task_graph(*pp_.graph, pp_.weights, privatized, pool, body, scfg);
   }
   if (stats != nullptr) {
-    // Accumulate, don't overwrite: an apply may walk the scheduler more than
-    // once (the batched adjoint does, per chunk) and the caller resets the
-    // struct at apply entry.
+    // Accumulate, don't overwrite: an apply walks the scheduler once per
+    // chunk and the driver resets the struct at apply entry.
     stats->add_scheduler_pass(sstats.tasks, sstats.privatized_tasks,
                               sstats.busy_ns_per_context);
   }
@@ -441,75 +458,109 @@ std::vector<TraceEvent> Nufft::run_spread(const cfloat* const* raws, index_t nb,
 }
 
 void Nufft::spread(const cfloat* raw) {
+  fit_private_bufs(ws_);
   clear_grid();
-  ws_.trace = run_spread(&raw, 1, ws_.grid.data(), ws_.grid.size(), ws_.private_bufs,
-                         pp_.privatized, *pool_, nullptr);
+  ws_.trace = run_spread(&raw, 1, ws_, *pool_, nullptr);
+}
+
+// Each phase timer runs inside its span, so the OperatorStats phases and the
+// nufft.* spans measure the same interval (span bookkeeping excluded).
+void Nufft::forward_chunk(const cfloat* const* images, cfloat* const* raws, index_t nb,
+                          Workspace& ws, ThreadPool& pool) const {
+  const auto slab = static_cast<std::size_t>(g_.grid_elems());
+  {
+    obs::Span s("nufft.scale", "core", nb);
+    Timer t;
+    for (index_t b = 0; b < nb; ++b) {
+      image_to_grid(images[b], ws.grid.data() + static_cast<std::size_t>(b) * slab, pool);
+    }
+    ws.fwd_stats.scale_s += t.seconds();
+  }
+  {
+    obs::Span s("nufft.fft", "core", nb);
+    Timer t;
+    fft_->transform(ws.grid.data(), nb, fft::Direction::kForward, pool,
+                    conv_mode_ != ConvMode::kScalar);
+    ws.fwd_stats.fft_s += t.seconds();
+  }
+  {
+    obs::Span s("nufft.conv", "core", nb);
+    Timer t;
+    run_interp(ws.grid.data(), raws, nb, pool);
+    ws.fwd_stats.conv_s += t.seconds();
+  }
+}
+
+void Nufft::adjoint_chunk(const cfloat* const* raws, cfloat* const* images, index_t nb,
+                          Workspace& ws, ThreadPool& pool) const {
+  const auto slab = static_cast<std::size_t>(g_.grid_elems());
+  {
+    obs::Span s("nufft.scale", "core", nb);
+    Timer t;
+    clear_grid(ws.grid.data(), static_cast<std::size_t>(nb) * slab, pool);
+    ws.adj_stats.scale_s += t.seconds();
+  }
+  {
+    obs::Span s("nufft.conv", "core", nb);
+    Timer t;
+    const std::vector<TraceEvent> trace = run_spread(raws, nb, ws, pool, &ws.adj_stats);
+    ws.trace.insert(ws.trace.end(), trace.begin(), trace.end());
+    ws.adj_stats.conv_s += t.seconds();
+  }
+  {
+    obs::Span s("nufft.fft", "core", nb);
+    Timer t;
+    fft_->transform(ws.grid.data(), nb, fft::Direction::kInverse, pool,
+                    conv_mode_ != ConvMode::kScalar);
+    ws.adj_stats.fft_s += t.seconds();
+  }
+  {
+    obs::Span s("nufft.scale", "core", nb);
+    Timer t;
+    for (index_t b = 0; b < nb; ++b) {
+      grid_to_image(ws.grid.data() + static_cast<std::size_t>(b) * slab, images[b], pool);
+    }
+    ws.adj_stats.scale_s += t.seconds();
+  }
+}
+
+void Nufft::forward(const cfloat* const* images, cfloat* const* raws, index_t nb, Workspace& ws,
+                    ThreadPool& pool) const {
+  NUFFT_CHECK(nb >= 1);
+  ws.fwd_stats = OperatorStats{};
+  obs::Span apply("nufft.forward", "core", nb);
+  Timer total;
+  for (index_t off = 0; off < nb; off += ws.capacity) {
+    forward_chunk(images + off, raws + off, std::min(ws.capacity, nb - off), ws, pool);
+  }
+  ws.fwd_stats.total_s = total.seconds();
+  ws.fwd_stats.privatization_downgraded = ws.privatization_downgraded;
+}
+
+void Nufft::adjoint(const cfloat* const* raws, cfloat* const* images, index_t nb, Workspace& ws,
+                    ThreadPool& pool) const {
+  NUFFT_CHECK(nb >= 1);
+  fit_private_bufs(ws);
+  ws.adj_stats = OperatorStats{};
+  ws.trace.clear();
+  obs::Span apply("nufft.adjoint", "core", nb);
+  Timer total;
+  for (index_t off = 0; off < nb; off += ws.capacity) {
+    adjoint_chunk(raws + off, images + off, std::min(ws.capacity, nb - off), ws, pool);
+  }
+  ws.adj_stats.total_s = total.seconds();
+  ws.adj_stats.privatization_downgraded = ws.privatization_downgraded;
 }
 
 void Nufft::forward(const cfloat* image, cfloat* raw, Workspace& ws, ThreadPool& pool) const {
-  ws.fwd_stats = OperatorStats{};
-  obs::Span apply("nufft.forward", "core");
-  Timer total;
-  Timer t;
-  {
-    obs::Span s("nufft.scale", "core");
-    image_to_grid(image, ws.grid.data(), pool);
-  }
-  ws.fwd_stats.scale_s = t.seconds();
+  forward(&image, &raw, 1, ws, pool);
+}
 
-  t.reset();
-  {
-    obs::Span s("nufft.fft", "core");
-    fft_fwd_->transform(ws.grid.data(), pool);
-  }
-  ws.fwd_stats.fft_s = t.seconds();
-
-  t.reset();
-  {
-    obs::Span s("nufft.conv", "core");
-    cfloat* const outs[1] = {raw};
-    run_interp(ws.grid.data(), ws.grid.size(), outs, 1, pool);
-  }
-  ws.fwd_stats.conv_s = t.seconds();
-  ws.fwd_stats.total_s = total.seconds();
+void Nufft::adjoint(const cfloat* raw, cfloat* image, Workspace& ws, ThreadPool& pool) const {
+  adjoint(&raw, &image, 1, ws, pool);
 }
 
 void Nufft::forward(const cfloat* image, cfloat* raw) { forward(image, raw, ws_, *pool_); }
-
-void Nufft::adjoint(const cfloat* raw, cfloat* image, Workspace& ws, ThreadPool& pool) const {
-  ws.adj_stats = OperatorStats{};
-  obs::Span apply("nufft.adjoint", "core");
-  Timer total;
-  Timer t;
-  {
-    obs::Span s("nufft.scale", "core");
-    clear_grid(ws.grid.data(), ws.grid.size(), pool);
-  }
-  ws.adj_stats.scale_s = t.seconds();
-
-  t.reset();
-  {
-    obs::Span s("nufft.conv", "core");
-    ws.trace = run_spread(&raw, 1, ws.grid.data(), ws.grid.size(), ws.private_bufs,
-                          pp_.privatized, pool, &ws.adj_stats);
-  }
-  ws.adj_stats.conv_s = t.seconds();
-
-  t.reset();
-  {
-    obs::Span s("nufft.fft", "core");
-    fft_inv_->transform(ws.grid.data(), pool);
-  }
-  ws.adj_stats.fft_s = t.seconds();
-
-  t.reset();
-  {
-    obs::Span s("nufft.scale", "core");
-    grid_to_image(ws.grid.data(), image, pool);
-  }
-  ws.adj_stats.scale_s += t.seconds();
-  ws.adj_stats.total_s = total.seconds();
-}
 
 void Nufft::adjoint(const cfloat* raw, cfloat* image) { adjoint(raw, image, ws_, *pool_); }
 

@@ -14,8 +14,8 @@
 //
 // Concurrency contract (the workspace-lease model): a plan is built once per
 // trajectory (preprocessing: partitioning, task graph, sample reorder) and is
-// immutable afterwards — tables, task graph and FFT plans are only read by
-// applies. All mutable per-apply state (the oversampled grid, private
+// immutable afterwards — tables, task graph and the FFT are only read by
+// applies. All mutable per-apply state (the oversampled grids, private
 // reduction buffers, stats, trace) lives in a `Workspace`. The const
 // `forward`/`adjoint` overloads take an explicit workspace and thread pool
 // and may run concurrently on the same plan as long as each call holds its
@@ -24,39 +24,45 @@
 // pool owned by the plan and therefore remain single-caller-at-a-time; they
 // exist for convenience and for the component benchmarks.
 //
-// Batched applies (B right-hand sides per scheduler walk) are layered on the
-// same contract by `exec::BatchNufft`, which stores B oversampled grids as
-// consecutive slabs (batch-major: slab b at offset b·grid_elems()) so each
-// slice keeps the single-transform memory layout; see DESIGN.md §7.
+// One apply pipeline: every apply is a batch of nb ≥ 1 slices, run in
+// chunks of at most ws.capacity slices, each chunk as scale → FFT →
+// convolution (forward) or convolution → IFFT → scale (adjoint) over all of
+// its slices at once. A single transform is the nb = 1 case, and
+// `exec::BatchNufft` is a (plan, Workspace) adapter over the same driver.
+// The FFT is the plan's pruned BatchFft (core/batch_fft.hpp). A workspace
+// stores its capacity grids as consecutive slabs (batch-major: slab b at
+// offset b·grid_elems()) so each slice keeps the single-transform memory
+// layout; see DESIGN.md §7.
 #pragma once
 
 #include <memory>
 #include <vector>
 
 #include "common/types.hpp"
+#include "core/batch_fft.hpp"
 #include "core/conv_dispatch.hpp"
 #include "core/convolution.hpp"
 #include "core/grid.hpp"
 #include "core/preprocess.hpp"
 #include "core/stats.hpp"
 #include "datasets/trajectory.hpp"
-#include "fft/fftnd.hpp"
 #include "kernels/horner.hpp"
 #include "kernels/lut.hpp"
 #include "parallel/thread_pool.hpp"
 
 namespace nufft {
 
-namespace exec {
-class BatchNufft;
-}
-
 /// Mutable per-apply state, rentable so concurrent applies on one plan never
-/// share buffers. Obtain via Nufft::make_workspace(); the struct is movable
-/// and plan-specific (buffer shapes follow the plan's grid and task list).
+/// share buffers. Obtain via Nufft::make_workspace(capacity); the struct is
+/// movable and plan-specific (buffer shapes follow the plan's grid and task
+/// list). An apply of nb slices runs in chunks of `capacity` slices.
 struct Workspace {
-  cvecf grid;                        // oversampled grid, grid_elems() values
-  std::vector<cvecf> private_bufs;   // one per privatized task (empty else)
+  index_t capacity = 1;              // slices per chunk, in [1, kMaxBatch]
+  cvecf grid;                        // capacity oversampled grids, back to back
+  std::vector<cvecf> private_bufs;   // per privatized task: capacity boxes (empty else)
+  // Set when the private buffers could not be allocated: adjoints then run
+  // every task through the TDG-serialized direct-scatter path.
+  bool privatization_downgraded = false;
   OperatorStats fwd_stats;
   OperatorStats adj_stats;
   std::vector<TraceEvent> trace;
@@ -96,17 +102,28 @@ class Nufft {
 
   // --- re-entrant apply API (the workspace-lease model) ---
 
-  /// A fresh workspace sized for this plan.
-  Workspace make_workspace() const;
+  /// A fresh workspace for chunks of up to `capacity` slices (clamped to
+  /// [1, kMaxBatch]). If its private reduction buffers cannot be allocated
+  /// the workspace is downgraded to direct scatter instead of failing.
+  Workspace make_workspace(index_t capacity = 1) const;
 
-  /// Bytes a workspace for this plan occupies (grid + private buffers).
+  /// Bytes a capacity-1 workspace for this plan occupies (grid + private
+  /// buffers).
   std::size_t workspace_bytes() const;
 
-  /// image (N^dim, centered, row-major) → raw. Thread-safe on a const plan:
-  /// concurrent calls must pass distinct workspaces and distinct pools.
-  void forward(const cfloat* image, cfloat* raw, Workspace& ws, ThreadPool& pool) const;
+  /// The apply driver: nb slices, images[b] (N^dim, centered, row-major) →
+  /// raws[b] (sample values, caller order), in chunks of ws.capacity.
+  /// Thread-safe on a const plan: concurrent calls must pass distinct
+  /// workspaces and distinct pools.
+  void forward(const cfloat* const* images, cfloat* const* raws, index_t nb, Workspace& ws,
+               ThreadPool& pool) const;
 
-  /// raw (sample values, caller order) → image (N^dim). Same contract.
+  /// raws[b] → images[b], b < nb. Same contract.
+  void adjoint(const cfloat* const* raws, cfloat* const* images, index_t nb, Workspace& ws,
+               ThreadPool& pool) const;
+
+  /// One slice: the driver at nb = 1.
+  void forward(const cfloat* image, cfloat* raw, Workspace& ws, ThreadPool& pool) const;
   void adjoint(const cfloat* raw, cfloat* image, Workspace& ws, ThreadPool& pool) const;
 
   // --- convenience apply API (uses the plan-owned workspace and pool) ---
@@ -125,8 +142,8 @@ class Nufft {
   /// flight on this plan — shared plans (PlanRegistry) use the warm-derive
   /// constructor instead, which never mutates the source. On kNoop nothing
   /// changes (generation included); otherwise plan_stats().generation is
-  /// bumped and the plan-owned workspace's private buffers are reconciled
-  /// with the new privatization marks.
+  /// bumped. Workspaces made earlier stay valid: every adjoint fits their
+  /// private buffers to the plan's current privatization marks.
   UpdatePath update_samples(const datasets::SampleSet& new_samples,
                             const UpdateOptions& opts = {});
 
@@ -155,7 +172,8 @@ class Nufft {
   const OperatorStats& last_adjoint_stats() const { return ws_.adj_stats; }
   const Preprocessed& plan() const { return pp_; }
   const std::vector<TraceEvent>& last_trace() const { return ws_.trace; }
-  ThreadPool& pool() { return *pool_; }
+  /// The plan-owned pool behind the convenience API (single caller at a time).
+  ThreadPool& pool() const { return *pool_; }
 
   /// Vector path resolved from PlanConfig::use_simd / isa and the CPU.
   using ConvMode = ConvBackend;
@@ -174,8 +192,6 @@ class Nufft {
   const PlanStats& plan_stats() const { return plan_stats_; }
 
  private:
-  friend class exec::BatchNufft;
-
   /// The weight evaluator this plan resolved (LUT or Horner) as the view
   /// compute_window consumes.
   WindowEval window_eval() const {
@@ -188,23 +204,29 @@ class Nufft {
     return ev;
   }
 
+  // One chunk (nb ≤ ws.capacity slices) of the driver.
+  void forward_chunk(const cfloat* const* images, cfloat* const* raws, index_t nb, Workspace& ws,
+                     ThreadPool& pool) const;
+  void adjoint_chunk(const cfloat* const* raws, cfloat* const* images, index_t nb, Workspace& ws,
+                     ThreadPool& pool) const;
+
+  /// Size ws.private_bufs to the current privatization marks (an in-place
+  /// update_samples may have moved them); downgrades on allocation failure.
+  void fit_private_bufs(Workspace& ws) const;
+
   static void clear_grid(cfloat* grid, std::size_t n, ThreadPool& pool);
   /// The fused scale pass: every cell of `grid` written once (zero padding
   /// or scaled image value).
   void image_to_grid(const cfloat* image, cfloat* grid, ThreadPool& pool) const;
   void grid_to_image(const cfloat* grid, cfloat* image, ThreadPool& pool) const;
 
-  // The convolution over nb slices whose grids sit slab_stride apart — the
-  // one sample loop of both the single (nb = 1, the workspace grid) and the
-  // batched (exec::BatchNufft slabs) applies.
-  void run_interp(const cfloat* grid, std::size_t slab_stride, cfloat* const* outs, index_t nb,
-                  ThreadPool& pool) const;
-  /// Privatized tasks convolve into private_bufs[task] (nb boxes back to
-  /// back) under the `privatized` mask. Returns the scheduler trace.
-  std::vector<TraceEvent> run_spread(const cfloat* const* raws, index_t nb, cfloat* grid,
-                                     std::size_t slab_stride, std::vector<cvecf>& private_bufs,
-                                     const std::vector<char>& privatized, ThreadPool& pool,
-                                     OperatorStats* stats) const;
+  // The convolution over nb slices whose grids sit grid_elems() apart in
+  // `grid` — the one sample loop of every apply.
+  void run_interp(const cfloat* grid, cfloat* const* outs, index_t nb, ThreadPool& pool) const;
+  /// Spreads into ws.grid; privatized tasks convolve into ws.private_bufs
+  /// (nb boxes back to back). Returns the scheduler trace.
+  std::vector<TraceEvent> run_spread(const cfloat* const* raws, index_t nb, Workspace& ws,
+                                     ThreadPool& pool, OperatorStats* stats) const;
 
   GridDesc g_;
   PlanConfig cfg_;
@@ -214,8 +236,7 @@ class Nufft {
   // shared_ptr (not unique): a warm-derived plan shares these immutable
   // tables with its source — they depend only on (grid, cfg), which the
   // derivation preserves.
-  std::shared_ptr<fft::FftNd<float>> fft_fwd_;
-  std::shared_ptr<fft::FftNd<float>> fft_inv_;
+  std::shared_ptr<const BatchFft> fft_;  // the pruned FFT, both directions
   std::array<fvec, 3> scale_;          // rolloff × chop, one array per dim
   std::array<std::vector<index_t>, 3> wrap_;  // image index → grid index per dim
   std::array<std::vector<index_t>, 3> inv_wrap_;  // grid index → image index, −1 = pad

@@ -33,25 +33,26 @@ struct PlanStats {
 /// Timing breakdown for one operator application, in seconds.
 ///
 /// Reset/accumulate discipline: an apply resets its stats struct at entry
-/// and then only accumulates — multi-pass applies (BatchNufft chunk loops,
-/// every scheduler walk of an adjoint) add their contribution per pass, so
-/// after the apply `tasks` / `busy_ns_per_context` cover *all* passes and
-/// `total_s` ≥ phase_sum() (the difference is scheduler/loop overhead plus
-/// the instants between phase timers).
+/// and then only accumulates — it runs one pass per chunk of ws.capacity
+/// slices (one scheduler walk per adjoint chunk) and adds each pass's
+/// contribution, so after the apply `tasks` / `busy_ns_per_context` cover
+/// *all* passes and `total_s` ≥ phase_sum() (the difference is
+/// scheduler/loop overhead plus the instants between phase timers).
 struct OperatorStats {
   double scale_s = 0.0;     // point-wise scaling + (de)chopping + grid clear
-  double fft_s = 0.0;       // the oversampled (inverse) FFT
+  double fft_s = 0.0;       // the oversampled (inverse) FFT, pruned
   double conv_s = 0.0;      // convolution interpolation
   double total_s = 0.0;
 
   // Adjoint-convolution scheduling detail, summed over every scheduler walk
-  // of the apply (one per chunk for batched multi-slab-group adjoints).
+  // of the apply (one per chunk).
   int tasks = 0;
   int privatized_tasks = 0;
   std::vector<std::uint64_t> busy_ns_per_context;
 
-  // Graceful-degradation record (exec::BatchNufft): set when this apply ran
-  // without selective privatization after its buffers failed to allocate.
+  // Graceful-degradation record: set when this apply ran on a workspace
+  // whose private buffers failed to allocate (Workspace::
+  // privatization_downgraded), i.e. without selective privatization.
   bool privatization_downgraded = false;
 
   /// Fold one scheduler pass into the running totals. busy times accumulate

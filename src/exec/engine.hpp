@@ -2,8 +2,9 @@
 // plans and collect results through futures.
 //
 // The engine is the consumer of the workspace-lease model (core/nufft.hpp):
-// worker threads lease a per-job Workspace (batch == 1) or a BatchNufft
-// (batch > 1) from per-plan free lists, so any number of in-flight jobs may
+// worker threads lease a per-job Workspace of capacity ≥ min(batch,
+// kMaxBatch) from one per-plan free list and make one apply call through the
+// plan's driver for every batch size, so any number of in-flight jobs may
 // target the *same* plan concurrently — the plan itself is only read. Each
 // worker owns a private ThreadPool (run_on_all does not nest), sized by
 // EngineConfig::threads_per_worker; total concurrency is
@@ -38,7 +39,6 @@
 
 #include "core/nufft.hpp"
 #include "core/stats.hpp"
-#include "exec/batch_nufft.hpp"
 #include "exec/plan_registry.hpp"
 
 namespace nufft::exec {
@@ -220,14 +220,12 @@ class NufftEngine {
     std::promise<JobResult> promise;
   };
 
-  // Per-plan free lists of leased apply state. `pin` keeps the plan alive
-  // while leased buffers exist, so a recycled pointer can never alias a
-  // different plan. Declared first, it is destroyed last: the batches and
-  // workspaces (which reference the plan) go before it.
+  // Per-plan free list of leased workspaces (any capacity). `pin` keeps the
+  // plan alive while leased buffers exist, so a recycled pointer can never
+  // alias a different plan.
   struct LeasePool {
     std::shared_ptr<const Nufft> pin;
     std::vector<std::unique_ptr<Workspace>> workspaces;
-    std::vector<std::unique_ptr<BatchNufft>> batches;
   };
 
   // One dispatched job's shared state between its worker and the watchdog.
@@ -254,11 +252,11 @@ class NufftEngine {
   // Under lease_mu_: the pool for `plan`, pinned on first use. Moves every
   // pool whose pin is its plan's only owner into `released`.
   LeasePool& pool_for(const std::shared_ptr<const Nufft>& plan, std::vector<LeasePool>& released);
-  std::unique_ptr<Workspace> lease_workspace(const std::shared_ptr<const Nufft>& plan);
+  // A pooled workspace with capacity ≥ min(batch, kMaxBatch), or a fresh one
+  // of exactly that capacity.
+  std::unique_ptr<Workspace> lease_workspace(const std::shared_ptr<const Nufft>& plan,
+                                             index_t batch);
   void return_workspace(const Nufft* plan, std::unique_ptr<Workspace> ws);
-  std::unique_ptr<BatchNufft> lease_batch(const std::shared_ptr<const Nufft>& plan,
-                                          index_t batch);
-  void return_batch(const Nufft* plan, std::unique_ptr<BatchNufft> bn);
 
   EngineConfig cfg_;
   mutable std::mutex mu_;

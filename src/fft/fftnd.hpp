@@ -32,10 +32,6 @@ class FftNd {
   /// Single-threaded convenience overload.
   void transform(std::complex<T>* data) const;
 
-  /// The 1D plan used for `axis` — lets batched drivers (exec::BatchNufft)
-  /// run pruned row loops against the same plan this transform would use.
-  const Fft1d<T>& axis_plan(std::size_t axis) const { return plans_[axis]; }
-
  private:
   void transform_axis(std::complex<T>* data, std::size_t axis, ThreadPool& pool) const;
 

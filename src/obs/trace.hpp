@@ -2,7 +2,7 @@
 //
 // This is the one API behind every trace path in the repo: the scheduler's
 // per-job events, the engine's job lifecycle, the per-phase breakdown of
-// Nufft / BatchNufft applies and the plan-registry builds all record through
+// every apply (nufft.* spans) and the plan-registry builds all record through
 // record_span() / Span. drain_spans() collects everything for export as
 // Chrome trace JSON (obs/export.hpp).
 //

@@ -166,6 +166,31 @@ TEST_P(BatchSimdEquivalence, MatchesSinglesToRounding) {
               1e-5)
         << "adj slice " << b;
   }
+
+  // A one-slice chunk is a single apply, bitwise: the batch at nb = 1, and
+  // the tail of a capacity-2 batch over kBatch = 5 slices (chunks 2, 2, 1).
+  for (index_t b = 0; b < kBatch; ++b) {
+    batch.forward(imgs.data() + b * f.g.image_elems(), fgot.data(), 1);
+    batch.adjoint(raws.data() + b * f.set.count(), agot.data(), 1);
+    EXPECT_TRUE(bitwise_equal(fgot.data(), fref[b].data(), f.set.count())) << "nb=1 fwd " << b;
+    EXPECT_TRUE(bitwise_equal(agot.data(), aref[b].data(), f.g.image_elems())) << "nb=1 adj " << b;
+  }
+  BatchNufft pairs(plan, 2);
+  pairs.forward(imgs.data(), fgot.data(), kBatch);
+  pairs.adjoint(raws.data(), agot.data(), kBatch);
+  const index_t tail = kBatch - 1;
+  EXPECT_TRUE(bitwise_equal(fgot.data() + tail * f.set.count(), fref[tail].data(), f.set.count()));
+  EXPECT_TRUE(bitwise_equal(agot.data() + tail * f.g.image_elems(), aref[tail].data(),
+                            f.g.image_elems()));
+  for (index_t b = 0; b < tail; ++b) {
+    EXPECT_LT(testing::rel_err(fgot.data() + b * f.set.count(), fref[b].data(), f.set.count()),
+              1e-5)
+        << "chunked fwd slice " << b;
+    EXPECT_LT(testing::rel_err(agot.data() + b * f.g.image_elems(), aref[b].data(),
+                               f.g.image_elems()),
+              1e-5)
+        << "chunked adj slice " << b;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(DimsIsa, BatchSimdEquivalence,

@@ -4,13 +4,17 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
+#include <string>
 #include <tuple>
 
 #include "baselines/nudft.hpp"
 #include "common/error.hpp"
+#include "core/convolution_avx2.hpp"
 #include "core/nufft.hpp"
 #include "datasets/trajectory.hpp"
+#include "fft/fftnd.hpp"
 #include "test_util.hpp"
 
 namespace nufft {
@@ -295,6 +299,60 @@ TEST(NufftComponents, InterpReadsGridWrittenExternally) {
     }
     ASSERT_NEAR(raw[static_cast<std::size_t>(p)].real(), mass, 1e-3);
     ASSERT_NEAR(raw[static_cast<std::size_t>(p)].imag(), 0.0, 1e-5);
+  }
+}
+
+// Pruning is exact: the plan's FFT skips rows that are zero (forward) or
+// never read (adjoint), so each apply equals the unpruned pipeline built
+// from the component entry points and a standalone full FftNd, bitwise —
+// over every backend and two pool widths, on power-of-two grids and on one
+// whose axes run Bluestein (m = 40).
+TEST(NufftComponents, PrunedApplyEqualsFullFftPipelineBitwise) {
+  struct Shape {
+    int dim;
+    index_t n;
+  };
+  for (const Shape sh : {Shape{1, 64}, Shape{2, 32}, Shape{3, 16}, Shape{2, 20}}) {
+    const GridDesc g = make_grid(sh.dim, sh.n, 2.0);
+    const auto set = testing::small_trajectory(TrajectoryType::kRandom, sh.dim, sh.n,
+                                               sh.dim == 1 ? 200 : 2000);
+    std::vector<std::size_t> dims;
+    for (int d = 0; d < g.dim; ++d) dims.push_back(static_cast<std::size_t>(g.m[static_cast<std::size_t>(d)]));
+    const fft::FftNd<float> fwd(dims, fft::Direction::kForward);
+    const fft::FftNd<float> inv(dims, fft::Direction::kInverse);
+    const cvecf img = testing::random_image(g.image_elems(), 41);
+    const cvecf raw = testing::random_raw(set.count(), 42);
+    for (const int backend : {0, 1, 2}) {
+      if (backend == 2 && !avx2_available()) continue;
+      for (const int width : {1, 3}) {
+        PlanConfig cfg;
+        cfg.threads = width;
+        cfg.use_simd = backend != 0;
+        cfg.isa = backend == 2 ? SimdIsa::kAvx2 : SimdIsa::kSse;
+        Nufft plan(g, set, cfg);
+        const std::string where = "dim " + std::to_string(sh.dim) + " m " +
+                                  std::to_string(g.m[0]) + " backend " +
+                                  std::to_string(backend) + " width " + std::to_string(width);
+
+        cvecf got_raw(static_cast<std::size_t>(set.count()));
+        cvecf want_raw(got_raw.size());
+        plan.forward(img.data(), got_raw.data());
+        plan.image_to_grid(img.data());
+        fwd.transform(plan.grid_data(), plan.pool());
+        plan.interp(want_raw.data());
+        EXPECT_EQ(std::memcmp(got_raw.data(), want_raw.data(), got_raw.size() * sizeof(cfloat)), 0)
+            << "forward, " << where;
+
+        cvecf got_img(static_cast<std::size_t>(g.image_elems()));
+        cvecf want_img(got_img.size());
+        plan.adjoint(raw.data(), got_img.data());
+        plan.spread(raw.data());
+        inv.transform(plan.grid_data(), plan.pool());
+        plan.grid_to_image(want_img.data());
+        EXPECT_EQ(std::memcmp(got_img.data(), want_img.data(), got_img.size() * sizeof(cfloat)), 0)
+            << "adjoint, " << where;
+      }
+    }
   }
 }
 

@@ -452,6 +452,9 @@ TEST(Stats, MultiPassAdjointBusyCoversAllWalks) {
 
 // --- spans vs. stats --------------------------------------------------------
 
+// One span vocabulary for every apply: a single adjoint (nb = 1) and a
+// chunked one (nb = 4 on capacity 2, two scheduler walks) both report
+// nufft.* spans that bracket exactly what their OperatorStats time.
 TEST(Trace, BatchAdjointSpanSumMatchesStats) {
   ObsGuard guard;
   obs::set_trace_enabled(true);
@@ -463,34 +466,39 @@ TEST(Trace, BatchAdjointSpanSumMatchesStats) {
 
   cvecf raws = testing::random_raw(4 * f.set.count(), 6);
   cvecf imgs_out(static_cast<std::size_t>(4 * f.g.image_elems()));
-  obs::reset_spans();
-  batch.adjoint(raws.data(), imgs_out.data(), 4);
-  const OperatorStats stats = batch.last_adjoint_stats();
+  for (const index_t nb : {1, 4}) {
+    obs::reset_spans();
+    batch.adjoint(raws.data(), imgs_out.data(), nb);
+    const OperatorStats stats = batch.last_adjoint_stats();
 
-  const auto spans = obs::drain_spans();
-  double conv_span_s = 0.0, fft_span_s = 0.0, scale_span_s = 0.0, apply_span_s = 0.0;
-  for (const auto& s : spans) {
-    const double dur = static_cast<double>(s.t1_ns - s.t0_ns) * 1e-9;
-    if (std::string_view(s.name) == "batch.conv") conv_span_s += dur;
-    if (std::string_view(s.name) == "batch.fft") fft_span_s += dur;
-    if (std::string_view(s.name) == "batch.scale") scale_span_s += dur;
-    if (std::string_view(s.name) == "batch.adjoint") apply_span_s += dur;
+    const auto spans = obs::drain_spans();
+    double conv_span_s = 0.0, fft_span_s = 0.0, scale_span_s = 0.0, apply_span_s = 0.0;
+    for (const auto& s : spans) {
+      const double dur = static_cast<double>(s.t1_ns - s.t0_ns) * 1e-9;
+      if (std::string_view(s.name) == "nufft.conv") conv_span_s += dur;
+      if (std::string_view(s.name) == "nufft.fft") fft_span_s += dur;
+      if (std::string_view(s.name) == "nufft.scale") scale_span_s += dur;
+      if (std::string_view(s.name) == "nufft.adjoint") {
+        apply_span_s += dur;
+        EXPECT_EQ(s.arg, nb) << "the apply span carries nb";
+      }
+    }
+    ASSERT_GT(conv_span_s, 0.0) << "nb " << nb;
+    ASSERT_GT(apply_span_s, 0.0) << "nb " << nb;
+    // The spans bracket exactly the regions the OperatorStats timers measure,
+    // so per phase they must agree within 5% (plus a floor for clock grain).
+    const auto close = [](double span_s, double stat_s) {
+      return std::abs(span_s - stat_s) <= 0.05 * std::max(span_s, stat_s) + 1e-4;
+    };
+    EXPECT_TRUE(close(conv_span_s, stats.conv_s))
+        << "nb " << nb << ": conv spans " << conv_span_s << " vs stats " << stats.conv_s;
+    EXPECT_TRUE(close(fft_span_s, stats.fft_s))
+        << "nb " << nb << ": fft spans " << fft_span_s << " vs stats " << stats.fft_s;
+    EXPECT_TRUE(close(scale_span_s, stats.scale_s))
+        << "nb " << nb << ": scale spans " << scale_span_s << " vs stats " << stats.scale_s;
+    EXPECT_TRUE(close(apply_span_s, stats.total_s))
+        << "nb " << nb << ": apply span " << apply_span_s << " vs stats " << stats.total_s;
   }
-  ASSERT_GT(conv_span_s, 0.0);
-  ASSERT_GT(apply_span_s, 0.0);
-  // The spans bracket exactly the regions the OperatorStats timers measure,
-  // so per phase they must agree within 5% (plus a floor for clock grain).
-  const auto close = [](double span_s, double stat_s) {
-    return std::abs(span_s - stat_s) <= 0.05 * std::max(span_s, stat_s) + 1e-4;
-  };
-  EXPECT_TRUE(close(conv_span_s, stats.conv_s))
-      << "conv spans " << conv_span_s << " vs stats " << stats.conv_s;
-  EXPECT_TRUE(close(fft_span_s, stats.fft_s))
-      << "fft spans " << fft_span_s << " vs stats " << stats.fft_s;
-  EXPECT_TRUE(close(scale_span_s, stats.scale_s))
-      << "scale spans " << scale_span_s << " vs stats " << stats.scale_s;
-  EXPECT_TRUE(close(apply_span_s, stats.total_s))
-      << "apply span " << apply_span_s << " vs stats " << stats.total_s;
 }
 
 // --- engine / registry counters ---------------------------------------------

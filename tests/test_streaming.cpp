@@ -18,6 +18,7 @@
 #include "core/nufft.hpp"
 #include "core/plan_cache.hpp"
 #include "core/preprocess.hpp"
+#include "exec/batch_nufft.hpp"
 #include "exec/engine.hpp"
 #include "exec/plan_registry.hpp"
 #include "obs/metrics.hpp"
@@ -284,6 +285,58 @@ TEST(Streaming, NufftUpdateSamplesMatchesFreshPlan) {
   plan.adjoint(raw_in.data(), img_a.data());
   fresh.adjoint(raw_in.data(), img_b.data());
   EXPECT_EQ(testing::max_abs_diff(img_a.data(), img_b.data(), g.image_elems()), 0.0);
+}
+
+// Apply state made before an in-place update: an update that privatizes a
+// new task must not leave an earlier Workspace or BatchNufft without that
+// task's private buffer — every adjoint fits its buffers to the plan's
+// current marks, so both match a cold plan bitwise.
+TEST(Streaming, WorkspaceMadeBeforeUpdateMatchesFreshPlan) {
+  const GridDesc g = make_grid(2, 64, 2.0);
+  const auto base = testing::small_trajectory(TrajectoryType::kRandom, 2, 64, 8192);
+  PlanConfig cfg = plan_config();
+  cfg.threads = 2;
+  cfg.variable_partitions = false;
+  // Move 20% of the samples into one 2×2-cell patch: the task holding it
+  // becomes over-dense and is privatized.
+  SampleSet next = base;
+  Rng rng(23);
+  for (std::size_t i = 0; i < next.coords[0].size(); ++i) {
+    if (rng.uniform() >= 0.2) continue;
+    next.coords[0][i] = static_cast<float>(90.0 + rng.uniform(0.0, 2.0));
+    next.coords[1][i] = static_cast<float>(30.0 + rng.uniform(0.0, 2.0));
+  }
+
+  Nufft plan(g, base, cfg);
+  const std::vector<char> marks_before = plan.plan().privatized;
+  Workspace ws = plan.make_workspace();
+  exec::BatchNufft batch(plan, 2);
+  ASSERT_EQ(plan.update_samples(next), UpdatePath::kWarm);
+  const std::vector<char>& marks = plan.plan().privatized;
+  ASSERT_EQ(marks.size(), marks_before.size());  // fixed partitions: same task list
+  bool newly_privatized = false;
+  for (std::size_t k = 0; k < marks.size(); ++k) newly_privatized |= marks[k] && !marks_before[k];
+  ASSERT_TRUE(newly_privatized) << "the update must privatize a task the old marks did not";
+
+  Nufft fresh(g, next, cfg);
+  const auto raw0 = testing::random_raw(next.count(), 31);
+  const auto raw1 = testing::random_raw(next.count(), 32);
+  cvecf want(static_cast<std::size_t>(g.image_elems()));
+  cvecf got(want.size());
+  fresh.adjoint(raw0.data(), want.data());
+  ThreadPool pool(2);
+  plan.adjoint(raw0.data(), got.data(), ws, pool);
+  EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(cfloat)), 0);
+
+  const cfloat* raws[2] = {raw0.data(), raw1.data()};
+  cvecf want_b(2 * want.size());
+  cvecf got_b(want_b.size());
+  exec::BatchNufft fresh_batch(fresh, 2);
+  cfloat* want_out[2] = {want_b.data(), want_b.data() + want.size()};
+  cfloat* got_out[2] = {got_b.data(), got_b.data() + want.size()};
+  fresh_batch.adjoint(raws, want_out, 2);
+  batch.adjoint(raws, got_out, 2);
+  EXPECT_EQ(std::memcmp(got_b.data(), want_b.data(), got_b.size() * sizeof(cfloat)), 0);
 }
 
 // The no-op short-circuit: bitwise-identical coordinates leave the plan —

@@ -7,11 +7,15 @@
 # runtime-W bit-match matrix and the boundary-coordinate trim sweep),
 # the streaming plan-update suite (`ctest -L streaming`, the warm-vs-cold
 # bit-match matrix — under TSan this races concurrent update-vs-apply paths
-# on the pool), the serving-layer suite (`ctest -L serve`) and the chaos
-# suite (`ctest -L chaos`, fault hooks compiled in) under AddressSanitizer and
+# on the pool), the serving-layer suite (`ctest -L serve`), the chaos
+# suite (`ctest -L chaos`, fault hooks compiled in), the execution suite
+# (`ctest -L concurrency`: engine workspace leases, batch-vs-single
+# equivalence), the observability suite (`ctest -L obs`: span/stat
+# invariants) and the failure-path suite (`ctest -L faults`: the
+# privatization downgrade, engine retries) under AddressSanitizer and
 # UndefinedBehaviorSanitizer, as CI does; pass `thread` to race-check the
-# preprocessing scatter/radix passes and the server's poll/builder/engine
-# thread handoff under TSan. The sweep seeds are fixed
+# preprocessing scatter/radix passes, concurrent engine applies and the
+# server's poll/builder/engine thread handoff under TSan. The sweep seeds are fixed
 # (tests/fuzz/test_fuzz.cpp kBaseSeed) so both instrumented runs execute the
 # identical configuration set; override with NUFFT_FUZZ_SEED /
 # NUFFT_FUZZ_CONFIGS to explore further or to reproduce one failing seed:
@@ -22,8 +26,8 @@
 # (NUFFT_DASSERT via NUFFT_DEBUG_ASSERTS — see the NUFFT_SANITIZE block in
 # the top-level CMakeLists.txt), so window-length and scheduler invariants
 # are checked alongside the memory/UB instrumentation. Fault injection
-# (NUFFT_FAULT_INJECT) is enabled so the chaos suite exists; it is inert for
-# every other suite unless a NUFFT_FAULT env spec arms a site.
+# (NUFFT_FAULT_INJECT) is enabled so the chaos and faults suites exist; it is
+# inert for every other suite unless a NUFFT_FAULT env spec arms a site.
 #
 # Usage: tools/run_fuzz_sanitized.sh [address] [undefined] [thread]
 #        (no arguments = address + undefined)
@@ -42,11 +46,14 @@ for san in "${sanitizers[@]}"; do
   cmake -B "${build}" -S . \
     -DNUFFT_SANITIZE="${san}" -DNUFFT_FAULT_INJECT=ON \
     -DNUFFT_BUILD_BENCH=OFF -DNUFFT_BUILD_EXAMPLES=OFF >/dev/null
-  cmake --build "${build}" -j --target nufft_fuzz_tests --target nufft_accuracy_tests \
+  cmake --build "${build}" -j "$(nproc)" --target nufft_fuzz_tests --target nufft_accuracy_tests \
     --target nufft_preproc_tests --target nufft_dispatch_tests \
-    --target nufft_streaming_tests --target nufft_serve_tests --target nufft_chaos_tests
-  echo "=== ${san} sanitizer: ctest -L 'fuzz|accuracy|preproc|dispatch|streaming|serve|chaos' ==="
-  (cd "${build}" && ctest -L 'fuzz|accuracy|preproc|dispatch|streaming|serve|chaos' --output-on-failure)
+    --target nufft_streaming_tests --target nufft_serve_tests --target nufft_chaos_tests \
+    --target nufft_exec_tests --target nufft_obs_tests --target nufft_fault_tests
+  labels='fuzz|accuracy|preproc|dispatch|streaming|serve|chaos|concurrency|obs|faults'
+  echo "=== ${san} sanitizer: ctest -L '${labels}' ==="
+  (cd "${build}" && ctest -L "${labels}" --output-on-failure)
 done
 
-echo "All sanitized fuzz + accuracy + preproc + dispatch + streaming + serve + chaos runs passed."
+echo "All sanitized fuzz + accuracy + preproc + dispatch + streaming + serve + chaos +"
+echo "concurrency + obs + faults runs passed."
