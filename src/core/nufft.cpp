@@ -479,8 +479,7 @@ void Nufft::forward_chunk(const cfloat* const* images, cfloat* const* raws, inde
   {
     obs::Span s("nufft.fft", "core", nb);
     Timer t;
-    fft_->transform(ws.grid.data(), nb, fft::Direction::kForward, pool,
-                    conv_mode_ != ConvMode::kScalar);
+    grid_fft(ws.grid.data(), nb, fft::Direction::kForward, pool);
     ws.fwd_stats.fft_s += t.seconds();
   }
   {
@@ -510,8 +509,7 @@ void Nufft::adjoint_chunk(const cfloat* const* raws, cfloat* const* images, inde
   {
     obs::Span s("nufft.fft", "core", nb);
     Timer t;
-    fft_->transform(ws.grid.data(), nb, fft::Direction::kInverse, pool,
-                    conv_mode_ != ConvMode::kScalar);
+    grid_fft(ws.grid.data(), nb, fft::Direction::kInverse, pool);
     ws.adj_stats.fft_s += t.seconds();
   }
   {

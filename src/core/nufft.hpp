@@ -191,6 +191,14 @@ class Nufft {
   /// Plan-time decisions (convolution variant binding, generation).
   const PlanStats& plan_stats() const { return plan_stats_; }
 
+  /// The plan's FFT over nb grid slabs (slab b at slabs + b·grid_elems()):
+  /// the pruned BatchFft with the plan's batched-stages choice, as every
+  /// apply runs it. The forward is exact for slabs that are zero off the
+  /// corner rows; the inverse is valid on the corner cells only.
+  void grid_fft(cfloat* slabs, index_t nb, fft::Direction dir, ThreadPool& pool) const {
+    fft_->transform(slabs, nb, dir, pool, conv_mode_ != ConvMode::kScalar);
+  }
+
  private:
   /// The weight evaluator this plan resolved (LUT or Horner) as the view
   /// compute_window consumes.

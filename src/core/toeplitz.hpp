@@ -1,59 +1,67 @@
-// Toeplitz-embedded normal operator: AᴴWA applied with two FFTs and no
-// convolution interpolation (Fessler/Wajer construction).
+// Toeplitz-embedded normal operator: AᴴWA applied in the plan's own
+// oversampled grid with the plan's two pruned FFTs and no convolution
+// (Fessler/Wajer construction).
 //
 // For the exact transforms, AᴴWA is convolution with the point-spread
-// kernel q[δ] = Σ_w W_w·e^{2πi(w−M/2)·δ/M}, δ ∈ (−N, N)^d. Embedding q in
-// a 2N-periodic circulant makes the application exact for every offset the
-// crop region needs:
+// kernel q[δ] = Σ_w W_w·e^{2πi(w−M/2)·δ/M}, δ ∈ (−N, N)^d. Any circulant of
+// period M ≥ 2N − 1 per dimension that holds q reproduces that convolution
+// exactly on the image, so at α = 2 the embedding grid is the plan's grid:
 //
-//   AᴴWA·x = crop_N( IFFT_2N( T̂ ⊙ FFT_2N( pad_2N(x) ) ) ),  T̂ = FFT_2N(q)
+//   AᴴWA·x = crop( IFFT_M( T̂ ⊙ FFT_M( pad(x) ) ) ),  T̂ = FFT_M(t) / M^d,
+//   t[δ mod M] = q[δ] for δ ∈ (−N, N)^d, zero elsewhere,
 //
-// q itself is computed once, at plan time, with one adjoint NUFFT on a
-// doubled image (coordinates scale as w → 2w on the doubled grid). After
-// that, every normal-operator application costs two (2N)^d FFTs — no
-// gather/scatter at all — which is the standard way to accelerate the
-// iterative solvers whose per-iteration cost the paper optimizes. The two
-// approaches are complementary: Toeplitz wins once the iteration count is
-// high and K is large; the explicit forward+adjoint pair is needed anyway
-// for the right-hand side and the final residuals.
+// where pad/crop place the image at the plan's wrap positions. pad(x) is
+// zero off the corner rows and crop reads only corner cells, so the plan's
+// pruned BatchFft is exact here for the same reason as in the NUFFT. One
+// application is the forward/adjoint pair's two FFT passes with both
+// convolutions replaced by one pointwise multiply by the real T̂.
+//
+// q is computed once, with one adjoint apply of 2^d slices through the plan
+// itself: slice s carries W_w·e^{+2πi(w−M/2)·s/M} with s_d = ±⌊n_d/2⌋, so its
+// image index n (centered) holds q[n + s], and the 2^d shifts cover (−N, N)^d
+// for even and odd N alike. The forward/adjoint pair is still what computes
+// the data side of an iterative solve (the right-hand side, the simulation).
+//
+// The kernel depends on the trajectory: it records the plan's generation and
+// apply throws kInvalidInput once an in-place update_samples has moved it.
 #pragma once
 
-#include <memory>
+#include <cstdint>
 
 #include "common/types.hpp"
-#include "core/grid.hpp"
-#include "core/preprocess.hpp"
-#include "datasets/trajectory.hpp"
-#include "fft/fftnd.hpp"
+#include "core/nufft.hpp"
 #include "parallel/thread_pool.hpp"
 
 namespace nufft {
 
 class ToeplitzNormal {
  public:
-  /// Build the embedded kernel for AᴴWA. `weights` has one non-negative
-  /// value per sample (nullptr = unweighted, W = I). Uses one temporary
-  /// double-size NUFFT plan during construction.
-  ToeplitzNormal(const GridDesc& g, const datasets::SampleSet& samples, const PlanConfig& cfg,
+  /// Build T̂ for AᴴWA on `plan`'s trajectory, computing q in `ws` (a
+  /// workspace of `plan`) on `pool`. `weights` has one non-negative value per
+  /// sample in caller order (nullptr = unweighted, W = I). Throws
+  /// kInvalidInput unless m_d ≥ 2·n_d − 1 in every dimension. The plan must
+  /// outlive this object.
+  ToeplitzNormal(const Nufft& plan, Workspace& ws, ThreadPool& pool,
                  const float* weights = nullptr);
-  ~ToeplitzNormal();
 
-  ToeplitzNormal(const ToeplitzNormal&) = delete;
-  ToeplitzNormal& operator=(const ToeplitzNormal&) = delete;
+  /// out[b] = AᴴWA·in[b] for b < nb (image_elems() values each; in == out is
+  /// allowed), in chunks of ws.capacity slices over ws's grid slabs.
+  /// Re-entrant on the same object with distinct workspaces and pools.
+  void apply(const cfloat* const* in, cfloat* const* out, index_t nb, Workspace& ws,
+             ThreadPool& pool) const;
 
-  /// out = AᴴWA·in (image_elems values each; in == out is allowed).
-  void apply(const cfloat* in, cfloat* out);
+  /// One slice: apply at nb = 1.
+  void apply(const cfloat* in, cfloat* out, Workspace& ws, ThreadPool& pool) const {
+    apply(&in, &out, 1, ws, pool);
+  }
 
-  const GridDesc& grid_desc() const { return g_; }
+  /// False once the plan's trajectory has moved since the kernel was built.
+  bool current() const { return plan_->plan_stats().generation == generation_; }
 
  private:
-  GridDesc g_;
-  std::array<index_t, 3> pad_;  // 2N per dimension
-  std::unique_ptr<ThreadPool> pool_;
-  std::unique_ptr<fft::FftNd<float>> fft_fwd_;
-  std::unique_ptr<fft::FftNd<float>> fft_inv_;
-  cvecf kernel_hat_;  // T̂ / (2N)^d
-  cvecf work_;
+  const Nufft* plan_;
+  fvec kernel_;  // T̂ / M^d: real, one value per grid cell
+  std::uint64_t generation_;
 };
 
 }  // namespace nufft

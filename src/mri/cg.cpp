@@ -43,7 +43,10 @@ CgResult conjugate_gradient(const std::function<void(const cfloat*, cfloat*)>& n
       for (index_t i = 0; i < n; ++i) q[static_cast<std::size_t>(i)] += lam * p[static_cast<std::size_t>(i)];
     }
     const double pq = dot_real(p.data(), q.data(), n);
-    if (pq <= 0.0) break;  // numerical loss of positive definiteness
+    // Stop unless ⟨p, AᴴA p⟩ is finite and positive: numerical loss of
+    // definiteness, or non-finite data (one NaN sample makes every value NaN,
+    // and NaN <= 0 is false).
+    if (!(std::isfinite(pq) && pq > 0.0)) break;
     const auto alpha = static_cast<float>(rho / pq);
     for (index_t i = 0; i < n; ++i) {
       x[i] += alpha * p[static_cast<std::size_t>(i)];

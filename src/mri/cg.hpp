@@ -1,9 +1,11 @@
 // Conjugate-gradient solver for the normal equations AᴴA x = Aᴴ b
 // (Hermitian positive semi-definite operator), the standard engine of
 // iterative non-Cartesian MRI reconstruction. Each iteration applies AᴴA
-// once — one coil-batched forward and adjoint NUFFT (exec::BatchNufft)
-// covering all coils — which is exactly the workload whose per-call cost
-// the paper optimizes.
+// once; in mri::MultichannelRecon that is one coil-batched Toeplitz apply
+// (core/toeplitz.hpp) — the plan's pruned FFT pair with the gridding
+// replaced by a pointwise multiply. A step whose ⟨p, AᴴA p⟩ is not finite
+// and positive ends the solve, so non-finite data yields the last finite
+// iterate (x = 0 when it appears from the start), never a NaN image.
 #pragma once
 
 #include <functional>

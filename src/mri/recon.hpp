@@ -4,17 +4,21 @@
 //
 // Model: per coil c, data_c = NUFFT_forward(S_c ⊙ x). The reconstruction
 // solves the regularized least-squares problem with CG on the normal
-// equations. All coils share one NUFFT plan, and every per-coil transform
-// loop runs as a single batched apply (exec::BatchNufft) with the coil
-// count as the batch — one scheduler walk, one window computation per
-// sample, and one pruned batched FFT pass cover all coils per CG iteration.
+// equations. All coils share one NUFFT plan and one workspace of
+// min(coils, kMaxBatch) grid slabs, and every per-coil loop is one apply
+// with the coil count as the batch. The data side — simulate() and the
+// right-hand side Σ_c S_cᴴ Aᴴ data_c, once per solve — runs the plan's
+// batched forward/adjoint. Every CG iteration applies AᴴA through the
+// Toeplitz kernel embedded in the plan's grid (core/toeplitz.hpp): the
+// plan's two pruned FFT passes and one pointwise multiply per coil, no
+// gridding. The kernel is built at construction and rebuilt by the next
+// solve after an in-place update_samples.
 #pragma once
 
-#include <memory>
 #include <vector>
 
 #include "core/nufft.hpp"
-#include "exec/batch_nufft.hpp"
+#include "core/toeplitz.hpp"
 #include "mri/cg.hpp"
 
 namespace nufft::mri {
@@ -27,14 +31,15 @@ struct ReconOptions {
 struct ReconResult {
   cvecf image;
   CgResult cg;
-  double seconds = 0.0;           // wall-clock of the solve (excl. planning)
-  double nufft_calls = 0.0;       // forward+adjoint pairs executed
+  double seconds = 0.0;         // wall-clock of the solve (excl. planning)
+  double normal_applies = 0.0;  // coil AᴴA applications (coils × iterations)
 };
 
 class MultichannelRecon {
  public:
-  /// Shares one NUFFT plan across all coils; transforms are batched over
-  /// the coil dimension.
+  /// Shares one NUFFT plan across all coils and builds its Toeplitz kernel.
+  /// The plan needs m_d ≥ 2·n_d − 1 per dimension (α = 2); it must outlive
+  /// this object.
   MultichannelRecon(Nufft& plan, std::vector<cvecf> coil_maps);
 
   /// Simulate coil data from a ground-truth image (forward model).
@@ -43,18 +48,22 @@ class MultichannelRecon {
   /// Reconstruct from per-coil sample data.
   ReconResult reconstruct(const std::vector<cvecf>& data, const CgOptions& opt);
 
+  /// The CG normal operator: out = Σ_c S_cᴴ AᴴA (S_c ⊙ in).
+  void normal_op(const cfloat* in, cfloat* out);
+
   int coils() const { return static_cast<int>(maps_.size()); }
 
  private:
-  void normal_op(const cfloat* in, cfloat* out);
+  /// Rebuild the kernel if the plan's trajectory moved since it was built.
+  void refresh_kernel();
 
   Nufft& plan_;
   std::vector<cvecf> maps_;
-  exec::BatchNufft batch_;
-  cvecf tmp_images_;  // coils · image_elems(), coil-major
-  cvecf tmp_raws_;    // coils · sample_count()
-  cvecf tmp_adjs_;    // coils · image_elems()
-  double pair_calls_ = 0.0;
+  Workspace ws_;
+  ToeplitzNormal normal_;
+  cvecf coil_images_;               // coils · image_elems(), coil-major
+  std::vector<cfloat*> coil_ptrs_;  // coil_images_ slice c
+  double normal_applies_ = 0.0;
 };
 
 }  // namespace nufft::mri

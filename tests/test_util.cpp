@@ -53,4 +53,17 @@ datasets::SampleSet small_trajectory(datasets::TrajectoryType type, int dim, ind
   return datasets::make_trajectory(type, dim, p);
 }
 
+datasets::SampleSet moved_samples(const datasets::SampleSet& set, index_t stride, float step) {
+  datasets::SampleSet out = set;
+  const auto m = static_cast<float>(set.m);
+  for (int d = 0; d < set.dim; ++d) {
+    auto& c = out.coords[static_cast<std::size_t>(d)];
+    for (std::size_t i = 0; i < c.size(); i += static_cast<std::size_t>(stride)) {
+      c[i] += step;
+      if (c[i] >= m) c[i] -= m;
+    }
+  }
+  return out;
+}
+
 }  // namespace nufft::testing

@@ -28,4 +28,8 @@ double max_abs_diff(const cfloat* a, const cfloat* b, index_t n);
 datasets::SampleSet small_trajectory(datasets::TrajectoryType type, int dim, index_t n,
                                      index_t approx_count, std::uint64_t seed = 99);
 
+/// A copy of `set` with every `stride`-th sample moved by `step` grid units
+/// in each dimension (wrapped into [0, m)): an in-place update_samples input.
+datasets::SampleSet moved_samples(const datasets::SampleSet& set, index_t stride, float step);
+
 }  // namespace nufft::testing

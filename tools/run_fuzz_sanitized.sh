@@ -11,10 +11,13 @@
 # suite (`ctest -L chaos`, fault hooks compiled in), the execution suite
 # (`ctest -L concurrency`: engine workspace leases, batch-vs-single
 # equivalence), the observability suite (`ctest -L obs`: span/stat
-# invariants) and the failure-path suite (`ctest -L faults`: the
-# privatization downgrade, engine retries) under AddressSanitizer and
+# invariants), the failure-path suite (`ctest -L faults`: the
+# privatization downgrade, engine retries) and the MRI suite (`ctest -L mri`:
+# the Toeplitz kernel and apply, density compensation, CG and the
+# multichannel reconstruction) under AddressSanitizer and
 # UndefinedBehaviorSanitizer, as CI does; pass `thread` to race-check the
-# preprocessing scatter/radix passes, concurrent engine applies and the
+# preprocessing scatter/radix passes, concurrent engine applies, the
+# Toeplitz apply's pool-thread slab writes and the
 # server's poll/builder/engine thread handoff under TSan. The sweep seeds are fixed
 # (tests/fuzz/test_fuzz.cpp kBaseSeed) so both instrumented runs execute the
 # identical configuration set; override with NUFFT_FUZZ_SEED /
@@ -49,11 +52,12 @@ for san in "${sanitizers[@]}"; do
   cmake --build "${build}" -j "$(nproc)" --target nufft_fuzz_tests --target nufft_accuracy_tests \
     --target nufft_preproc_tests --target nufft_dispatch_tests \
     --target nufft_streaming_tests --target nufft_serve_tests --target nufft_chaos_tests \
-    --target nufft_exec_tests --target nufft_obs_tests --target nufft_fault_tests
-  labels='fuzz|accuracy|preproc|dispatch|streaming|serve|chaos|concurrency|obs|faults'
+    --target nufft_exec_tests --target nufft_obs_tests --target nufft_fault_tests \
+    --target nufft_mri_tests
+  labels='fuzz|accuracy|preproc|dispatch|streaming|serve|chaos|concurrency|obs|faults|mri'
   echo "=== ${san} sanitizer: ctest -L '${labels}' ==="
   (cd "${build}" && ctest -L "${labels}" --output-on-failure)
 done
 
 echo "All sanitized fuzz + accuracy + preproc + dispatch + streaming + serve + chaos +"
-echo "concurrency + obs + faults runs passed."
+echo "concurrency + obs + faults + mri runs passed."
