@@ -6,7 +6,7 @@
 #include <cstdio>
 
 #include "common.hpp"
-#include "core/convolution.hpp"
+#include "core/batch_conv.hpp"
 #include "kernels/lut.hpp"
 
 using namespace nufft;
@@ -49,7 +49,9 @@ int main() {
                           set.coords[1][static_cast<std::size_t>(p)],
                           set.coords[2][static_cast<std::size_t>(p)]};
         compute_window(g, lut, coord, 3, true, wb);
-        acc += fwd_gather_simd<3>(grid.data(), st, wb);
+        cfloat out;
+        gather_slices_sse<3, 1>(grid.data(), 0, 1, st, wb, &out);
+        acc += out;
       }
       sink = sink + acc.real();
     });

@@ -4,6 +4,7 @@
 #include <benchmark/benchmark.h>
 
 #include "common.hpp"
+#include "core/batch_conv.hpp"
 #include "core/convolution.hpp"
 #include "fft/fft1d.hpp"
 #include "fft/fftnd.hpp"
@@ -119,7 +120,8 @@ void BM_ScatterSimd3d(benchmark::State& state) {
   float coord[3] = {40.3f, 51.7f, 66.1f};
   compute_window(g, lut, coord, 3, true, wb);
   for (auto _ : state) {
-    adj_scatter_simd<3>(grid.data(), st, wb, cfloat(1.0f, -1.0f));
+    const cfloat val(1.0f, -1.0f);
+    scatter_slices_sse<3, 1>(grid.data(), 0, 1, st, wb, &val);
     benchmark::DoNotOptimize(grid.data());
   }
 }
@@ -136,7 +138,9 @@ void BM_GatherSimd3d(benchmark::State& state) {
   float coord[3] = {40.3f, 51.7f, 66.1f};
   compute_window(g, lut, coord, 3, true, wb);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(fwd_gather_simd<3>(grid.data(), st, wb));
+    cfloat out;
+    gather_slices_sse<3, 1>(grid.data(), 0, 1, st, wb, &out);
+    benchmark::DoNotOptimize(out);
   }
 }
 BENCHMARK(BM_GatherSimd3d)->Arg(2)->Arg(4)->Arg(8);

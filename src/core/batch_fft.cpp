@@ -4,7 +4,6 @@
 
 #include "common/error.hpp"
 #include "core/batch_fft_stages.hpp"
-#include "core/convolution_avx2.hpp"
 #include "fft/fft1d.hpp"
 #include "fft/twiddle.hpp"
 #include "simd/vec4f.hpp"
@@ -89,8 +88,9 @@ void stage4_cols(const cfloat* src, cfloat* dst, std::size_t nn, std::size_t sc,
 
 }  // namespace
 
-BatchFft::BatchFft(const GridDesc& g, const std::array<std::vector<index_t>, 3>& wrap)
-    : g_(g), avx2_(avx2_available()) {
+BatchFft::BatchFft(const GridDesc& g, const std::array<std::vector<index_t>, 3>& wrap,
+                   bool avx2)
+    : g_(g), avx2_(avx2) {
   st_ = g_.grid_strides();
   slab_elems_ = g_.grid_elems();
   for (int d = 0; d < g_.dim; ++d) {
@@ -132,44 +132,40 @@ void BatchFft::transform(cfloat* slabs, index_t nb, Direction dir, ThreadPool& p
   // The prunable rows are always the ones whose *untransformed* (forward)
   // or *already-transformed* (adjoint) coordinates are corner-confined, so
   // the traversal order decides which axes get the pruning. The adjoint
-  // wants the FftNd order (contiguous axis first): its full pass lands on
-  // the cheap in-place axis and the ¼ pass on the expensive strided axis 0.
-  // For the forward that order is pessimal — the strided axis would run
-  // unpruned — so a batched forward (nb >= 2) traverses ascending instead,
-  // which hands it the mirror-image (optimal) distribution. Scalar plans and
-  // every nb = 1 transform keep the FftNd order, so they equal FftNd bitwise.
-  const bool ascending = batched_stages && nb >= 2 && dir == Direction::kForward;
-  if (ascending) {
+  // runs the contiguous axis first: its full pass lands on the cheap
+  // in-place axis and the ¼ pass on the expensive strided axis 0. The
+  // forward runs the mirror image (axis 0 first), so its strided axis is the
+  // one restricted to the corner rows. Either way the axes a pass has not
+  // reached (forward) or has finished (adjoint) are the ones above it. The
+  // order depends on the direction only, never on nb or the backend.
+  if (dir == Direction::kForward) {
     for (std::size_t a = 0; a < static_cast<std::size_t>(g_.dim); ++a) {
-      axis_pass(slabs, nb, a, dir, pool, batched_stages, /*restrict_above=*/true);
+      axis_pass(slabs, nb, a, dir, pool, batched_stages);
     }
   } else {
     for (std::size_t a = static_cast<std::size_t>(g_.dim); a-- > 0;) {
-      axis_pass(slabs, nb, a, dir, pool, batched_stages,
-                /*restrict_above=*/dir == Direction::kInverse);
+      axis_pass(slabs, nb, a, dir, pool, batched_stages);
     }
   }
 }
 
 void BatchFft::axis_pass(cfloat* slabs, index_t nb, std::size_t axis, Direction dir,
-                         ThreadPool& pool, bool batched_stages, bool restrict_above) const {
+                         ThreadPool& pool, bool batched_stages) const {
   const std::size_t len = static_cast<std::size_t>(g_.m[axis]);
   if (len == 1) return;
   const int dim = g_.dim;
 
-  // Row coordinate lists for the non-transform dims. `restrict_above`
-  // selects which side of the axis is corner-confined: the dims the
-  // traversal has not reached yet (forward: still zero outside the corners)
-  // or the dims it has finished (adjoint: non-corner outputs never read).
+  // Row coordinate lists for the non-transform dims. The dims above the
+  // axis are corner-confined: the forward has not reached them yet (still
+  // zero outside the corners), the adjoint has finished them (non-corner
+  // outputs are never read).
   const std::vector<index_t>* lists[2] = {nullptr, nullptr};
   index_t lstrides[2] = {0, 0};
   int nlists = 0;
   for (int d = 0; d < dim; ++d) {
     if (d == static_cast<int>(axis)) continue;
     const auto ds = static_cast<std::size_t>(d);
-    const bool restricted =
-        restrict_above ? d > static_cast<int>(axis) : d < static_cast<int>(axis);
-    lists[nlists] = restricted ? &corner_[ds] : &full_[ds];
+    lists[nlists] = d > static_cast<int>(axis) ? &corner_[ds] : &full_[ds];
     lstrides[nlists] = st_[ds];
     ++nlists;
   }
@@ -190,10 +186,10 @@ void BatchFft::axis_pass(cfloat* slabs, index_t nb, std::size_t axis, Direction 
     return base;
   };
 
-  const bool use_batched = batched_stages && pow2_[axis] && nb >= 2;
+  const bool use_batched = batched_stages && pow2_[axis];
   if (!use_batched) {
-    // Per-row path through the axis Fft1d — bit-identical to the FftNd walk
-    // over the same rows.
+    // Per-row path through the axis Fft1d (scalar plans and Bluestein axes),
+    // one slice at a time.
     const fft::Fft1d<float>& plan = (dir == Direction::kForward ? plans_fwd_ : plans_inv_)[axis];
     const std::size_t ssz = plan.scratch_size();
     std::vector<aligned_vector<cfloat>> scratch(static_cast<std::size_t>(pool.size()));

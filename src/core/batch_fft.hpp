@@ -11,18 +11,24 @@
 //    coordinates (non-corner outputs are never read by grid_to_image). At
 //    α = 2 in 3D this drops the row count to (¼ + ½ + 1)/3 ≈ 58%.
 //
-//  * Column-interleaved batched stages (nb ≥ 2). For each row position, the
-//    nb rows — one per slice — are gathered element-interleaved (element k
-//    of slice b at buf[k·nb + b]) and pushed through Stockham stages whose
+//  * Column-interleaved SIMD stages. For each row position, the nb rows —
+//    one per slice — are gathered element-interleaved (element k of slice b
+//    at buf[k·nb + b]) and pushed through Stockham stages whose
 //    sub-transform stride starts at nb instead of 1. The stage arithmetic is
 //    unchanged, but the inner loop now runs over nb contiguous complex values
 //    sharing one twiddle, which vectorizes: two slices per SSE register, one
-//    twiddle load per butterfly instead of per row.
+//    twiddle load per butterfly instead of per row. Blocks of adjacent rows
+//    of a strided axis join as extra columns, so a single transform (nb = 1)
+//    fills its vectors from neighbouring rows; zeroed pad columns round the
+//    count up to the vector width.
 //
-// Every other row (scalar plans, non-pow2 axes, nb = 1) runs through the
-// per-axis Fft1d plans, built exactly as FftNd builds its own. An nb = 1
-// transform also keeps FftNd's axis order (last axis first), so it equals
-// FftNd bitwise on every cell the pipeline reads.
+// Every pow2 axis of a SIMD plan takes the column stages at every nb; scalar
+// plans and Bluestein axes run rows through the per-axis Fft1d plans. The
+// forward walks the axes ascending, the inverse descending, whatever nb is.
+//
+// Batch-width contract: columns never mix (every lane of a stage runs the
+// same arithmetic on its own column), so slice b of an nb-slice transform
+// equals the nb = 1 transform of slice b bitwise, on every backend.
 #pragma once
 
 #include <array>
@@ -30,6 +36,7 @@
 
 #include "common/aligned.hpp"
 #include "common/types.hpp"
+#include "core/convolution_avx2.hpp"
 #include "core/grid.hpp"
 #include "fft/fft1d.hpp"
 #include "parallel/thread_pool.hpp"
@@ -39,13 +46,15 @@ namespace nufft {
 class BatchFft {
  public:
   /// Plans every axis of `g` in both directions. `wrap[d]` maps image index
-  /// → grid index along dim d; the rows it hits are the corner rows.
-  BatchFft(const GridDesc& g, const std::array<std::vector<index_t>, 3>& wrap);
+  /// → grid index along dim d; the rows it hits are the corner rows. `avx2`
+  /// picks the AVX2 column stages over the SSE ones (it requires
+  /// avx2_available()); plans take the widest the CPU runs.
+  BatchFft(const GridDesc& g, const std::array<std::vector<index_t>, 3>& wrap,
+           bool avx2 = avx2_available());
 
   /// In-place transform of nb slabs (slab b at slabs + b·grid_elems()).
-  /// `batched_stages` opts into the SIMD column-interleaved path where an
-  /// axis allows it (pow2 length and nb >= 2); rows fall back to the axis
-  /// Fft1d otherwise.
+  /// `batched_stages` (the plan is SIMD) runs every pow2 axis through the
+  /// column-interleaved stages; rows fall back to the axis Fft1d otherwise.
   void transform(cfloat* slabs, index_t nb, fft::Direction dir, ThreadPool& pool,
                  bool batched_stages) const;
 
@@ -56,7 +65,7 @@ class BatchFft {
   };
 
   void axis_pass(cfloat* slabs, index_t nb, std::size_t axis, fft::Direction dir,
-                 ThreadPool& pool, bool batched_stages, bool restrict_above) const;
+                 ThreadPool& pool, bool batched_stages) const;
 
   GridDesc g_;
   std::array<std::vector<index_t>, 3> corner_;

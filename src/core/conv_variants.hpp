@@ -16,14 +16,16 @@
 //      in the window/weight arithmetic into FMA, which changes rounding.
 //      AVX2 work is reached only through *extern* functions that were
 //      themselves audited for lane-exactness: the Part-2 kernels of
-//      core/convolution_avx2.cpp and core/batch_conv_avx2.cpp, and
-//      kernels::eval_window_avx2 (explicit mul+add intrinsics, never fmadd —
-//      see kernels/horner_avx2.cpp).
+//      core/batch_conv_avx2.cpp, and kernels::eval_window_avx2 (explicit
+//      mul+add intrinsics, never fmadd — see kernels/horner_avx2.cpp).
 //
-// Batch width: at nb = 1 a variant runs the per-sample loop with the
-// single-slice Part-2 kernels (core/convolution.hpp); at nb ≥ 2 it stages
-// the windows of kSampleBlock samples once and sweeps them over kSlabGroup
-// slabs at a time with the multi-slice kernels (core/batch_conv.hpp).
+// Batch width: nb picks no kernel, only the slice-group width G of the
+// backend's one Part-2 kernel family (core/batch_conv.hpp; scalar plans run
+// adj_scatter_scalar / fwd_gather_scalar per slab). A single apply runs
+// G = 1 per sample; a batch stages the windows of kSampleBlock samples once
+// and sweeps them over kSlabGroup slabs at a time. Every slice runs the same
+// arithmetic at either width, so slice b of an nb-slice call equals the
+// nb = 1 call on slice b's data bitwise.
 //
 // What constexpr W buys (paper Part 1, the dominant phase at small W): the
 // trim folds against a constant and the per-sample window loops get fixed
@@ -39,19 +41,17 @@
 #include "core/batch_conv.hpp"
 #include "core/conv_dispatch.hpp"
 #include "core/convolution.hpp"
-#include "core/convolution_avx2.hpp"
 #include "core/window_span.hpp"
 
 namespace nufft::detail {
 
-// Loop blocking of the batched (nb ≥ 2) entry: windows for kSampleBlock
-// consecutive (sorted) samples are staged once, then swept over kSlabGroup
-// slabs at a time. The block's windows overlap heavily after bucket sorting,
-// so the touched grid region of a slab group stays cache-resident across the
-// whole block, while the group width keeps the per-row weight-vector build
-// amortized over several slices.
+// Loop blocking of a batch: windows for kSampleBlock consecutive (sorted)
+// samples are staged once, then swept over kSlabGroup slabs at a time. The
+// block's windows overlap heavily after bucket sorting, so the touched grid
+// region of a slab group stays cache-resident across the whole block, while
+// the group width keeps the per-row weight-vector build amortized over
+// several slices.
 inline constexpr index_t kSampleBlock = 32;
-inline constexpr index_t kSlabGroup = 8;
 
 /// Part 1 for reordered sample i of the range, with the backend's weight
 /// duplication (SIMD Part 2) and row evaluator.
@@ -77,129 +77,120 @@ template <int DIM>
   wb.inner_contiguous = true;
 }
 
-// The batched (nb ≥ 2) loops are kept out of line: inlined, their staging
-// buffers would inflate the frame and register pressure of the single-slice
-// loop that every non-batched apply runs.
-template <ConvBackend B, int DIM, int W2, bool HORNER>
-[[gnu::noinline]] void spread_batch(const ConvRange& a, const cfloat* const* raws, index_t nb,
-                                    cfloat* dst, std::size_t slab_stride,
-                                    const std::array<index_t, 3>& strides) {
-  WindowBuf wbs[kSampleBlock];
-  cfloat vals[kSampleBlock * kMaxBatch];
-  for (index_t s0 = a.begin; s0 < a.end; s0 += kSampleBlock) {
-    const index_t sb = std::min<index_t>(kSampleBlock, a.end - s0);
+/// Part 2 of one sample over nb ≤ G slabs (slab b at slab0 + b·slab_stride):
+/// the backend's one kernel family at slice-group width G. The scalar
+/// backend runs its single-slab kernel per slab.
+template <ConvBackend B, int DIM, int G>
+[[gnu::always_inline]] inline void scatter(cfloat* slab0, std::size_t slab_stride, index_t nb,
+                                           const std::array<index_t, 3>& strides,
+                                           const WindowBuf& wb, const cfloat* vals) {
+  if constexpr (B == ConvBackend::kScalar) {
+    for (index_t b = 0; b < (G == 1 ? 1 : nb); ++b) {
+      adj_scatter_scalar<DIM>(slab0 + static_cast<std::size_t>(b) * slab_stride, strides, wb,
+                              vals[b]);
+    }
+  } else if constexpr (B == ConvBackend::kSse) {
+    scatter_slices_sse<DIM, G>(slab0, slab_stride, nb, strides, wb, vals);
+  } else {
+    scatter_slices_avx2<DIM, G>(slab0, slab_stride, nb, strides, wb, vals);
+  }
+}
+
+template <ConvBackend B, int DIM, int G>
+[[gnu::always_inline]] inline void gather(const cfloat* slab0, std::size_t slab_stride,
+                                          index_t nb, const std::array<index_t, 3>& strides,
+                                          const WindowBuf& wb, cfloat* outs) {
+  if constexpr (B == ConvBackend::kScalar) {
+    for (index_t b = 0; b < (G == 1 ? 1 : nb); ++b) {
+      outs[b] = fwd_gather_scalar<DIM>(slab0 + static_cast<std::size_t>(b) * slab_stride,
+                                       strides, wb);
+    }
+  } else if constexpr (B == ConvBackend::kSse) {
+    gather_slices_sse<DIM, G>(slab0, slab_stride, nb, strides, wb, outs);
+  } else {
+    gather_slices_avx2<DIM, G>(slab0, slab_stride, nb, strides, wb, outs);
+  }
+}
+
+/// The sample loop at slice-group width G: stage the windows of a block of
+/// samples, then run each group of G slices through the block. A batch
+/// (G = kSlabGroup) stages kSampleBlock samples so one Part 1 serves every
+/// group. A single apply (G = 1) has one group and nothing to amortize, so
+/// its block is one sample. Measured single-threaded on the bench_layers
+/// shapes (SSE, min of 50), staging 32 samples at G = 1 made the 2-D
+/// ES W = 2 spread and interp 13–16 % slower and the 3-D ES W = 3 spread 9 %
+/// slower (its interp moved −3 %).
+template <ConvBackend B, int DIM, int W2, bool HORNER, int G>
+[[gnu::noinline]] void spread_loop(const ConvRange& a, const cfloat* const* raws, index_t nb,
+                                   cfloat* dst, std::size_t slab_stride,
+                                   const std::array<index_t, 3>& strides) {
+  constexpr index_t kBlock = G == 1 ? 1 : kSampleBlock;
+  constexpr index_t kSlices = G == 1 ? 1 : kMaxBatch;
+  WindowBuf wbs[kBlock];
+  cfloat vals[kBlock * kSlices];
+  for (index_t s0 = a.begin; s0 < a.end; s0 += kBlock) {
+    const index_t sb = std::min<index_t>(kBlock, a.end - s0);
     for (index_t i = 0; i < sb; ++i) {
       sample_window<B, DIM, W2, HORNER>(a, s0 + i, wbs[i]);
       if (a.box_lo != nullptr) rebase_box<DIM>(a.box_lo, wbs[i]);
       const index_t oi = a.orig_index[static_cast<std::size_t>(s0 + i)];
-      for (index_t b = 0; b < nb; ++b) vals[i * kMaxBatch + b] = raws[b][oi];
+      for (index_t b = 0; b < nb; ++b) vals[i * kSlices + b] = raws[b][oi];
     }
-    if constexpr (B == ConvBackend::kScalar) {
-      // Per-slab sample order is the single-slice order, so scalar batched
-      // results are bit-identical to nb single applies.
-      for (index_t b = 0; b < nb; ++b) {
-        cfloat* slab = dst + static_cast<std::size_t>(b) * slab_stride;
-        for (index_t i = 0; i < sb; ++i) {
-          adj_scatter_scalar<DIM>(slab, strides, wbs[i], vals[i * kMaxBatch + b]);
-        }
-      }
-    } else {
-      for (index_t b0 = 0; b0 < nb; b0 += kSlabGroup) {
-        const index_t gnb = std::min<index_t>(kSlabGroup, nb - b0);
-        cfloat* group = dst + static_cast<std::size_t>(b0) * slab_stride;
-        for (index_t i = 0; i < sb; ++i) {
-          const cfloat* v = vals + i * kMaxBatch + b0;
-          if constexpr (B == ConvBackend::kSse) {
-            badj_scatter_sse<DIM>(group, slab_stride, gnb, strides, wbs[i], v);
-          } else {
-            badj_scatter_avx2<DIM>(group, slab_stride, gnb, strides, wbs[i], v);
-          }
-        }
+    for (index_t b0 = 0; b0 < nb; b0 += G) {
+      const index_t gnb = std::min<index_t>(G, nb - b0);
+      cfloat* group = dst + static_cast<std::size_t>(b0) * slab_stride;
+      for (index_t i = 0; i < sb; ++i) {
+        scatter<B, DIM, G>(group, slab_stride, gnb, strides, wbs[i], vals + i * kSlices + b0);
       }
     }
   }
 }
 
-template <ConvBackend B, int DIM, int W2, bool HORNER>
-[[gnu::noinline]] void interp_batch(const ConvRange& a, const cfloat* grid,
-                                    std::size_t slab_stride,
-                                    const std::array<index_t, 3>& strides, cfloat* const* outs,
-                                    index_t nb) {
-  WindowBuf wbs[kSampleBlock];
-  index_t ois[kSampleBlock];
-  cfloat vals[kMaxBatch];
-  for (index_t s0 = a.begin; s0 < a.end; s0 += kSampleBlock) {
-    const index_t sb = std::min<index_t>(kSampleBlock, a.end - s0);
+template <ConvBackend B, int DIM, int W2, bool HORNER, int G>
+[[gnu::noinline]] void interp_loop(const ConvRange& a, const cfloat* grid,
+                                   std::size_t slab_stride,
+                                   const std::array<index_t, 3>& strides, cfloat* const* outs,
+                                   index_t nb) {
+  constexpr index_t kBlock = G == 1 ? 1 : kSampleBlock;
+  WindowBuf wbs[kBlock];
+  index_t ois[kBlock];
+  cfloat vals[G];
+  for (index_t s0 = a.begin; s0 < a.end; s0 += kBlock) {
+    const index_t sb = std::min<index_t>(kBlock, a.end - s0);
     for (index_t i = 0; i < sb; ++i) {
       sample_window<B, DIM, W2, HORNER>(a, s0 + i, wbs[i]);
       ois[i] = a.orig_index[static_cast<std::size_t>(s0 + i)];
     }
-    if constexpr (B == ConvBackend::kScalar) {
-      for (index_t b = 0; b < nb; ++b) {
-        const cfloat* slab = grid + static_cast<std::size_t>(b) * slab_stride;
-        cfloat* out = outs[b];
-        for (index_t i = 0; i < sb; ++i) out[ois[i]] = fwd_gather_scalar<DIM>(slab, strides, wbs[i]);
-      }
-    } else {
-      for (index_t b0 = 0; b0 < nb; b0 += kSlabGroup) {
-        const index_t gnb = std::min<index_t>(kSlabGroup, nb - b0);
-        const cfloat* group = grid + static_cast<std::size_t>(b0) * slab_stride;
-        for (index_t i = 0; i < sb; ++i) {
-          if constexpr (B == ConvBackend::kSse) {
-            bfwd_gather_sse<DIM>(group, slab_stride, gnb, strides, wbs[i], vals);
-          } else {
-            bfwd_gather_avx2<DIM>(group, slab_stride, gnb, strides, wbs[i], vals);
-          }
-          for (index_t b = 0; b < gnb; ++b) outs[b0 + b][ois[i]] = vals[b];
-        }
+    for (index_t b0 = 0; b0 < nb; b0 += G) {
+      const index_t gnb = std::min<index_t>(G, nb - b0);
+      const cfloat* group = grid + static_cast<std::size_t>(b0) * slab_stride;
+      for (index_t i = 0; i < sb; ++i) {
+        gather<B, DIM, G>(group, slab_stride, gnb, strides, wbs[i], vals);
+        for (index_t b = 0; b < gnb; ++b) outs[b0 + b][ois[i]] = vals[b];
       }
     }
   }
 }
 
+// nb only sets the slice-group width: every slice runs the same per-slice
+// arithmetic at either width, so slice b of any batch equals its nb = 1 call.
 template <ConvBackend B, int DIM, int W2, bool HORNER>
 void spread_range(const ConvRange& a, const cfloat* const* raws, index_t nb, cfloat* dst,
                   std::size_t slab_stride, const std::array<index_t, 3>& strides) {
-  if (nb != 1) {
-    spread_batch<B, DIM, W2, HORNER>(a, raws, nb, dst, slab_stride, strides);
-    return;
-  }
-  const cfloat* raw = raws[0];
-  WindowBuf wb;
-  for (index_t i = a.begin; i < a.end; ++i) {
-    sample_window<B, DIM, W2, HORNER>(a, i, wb);
-    if (a.box_lo != nullptr) rebase_box<DIM>(a.box_lo, wb);
-    const cfloat v = raw[a.orig_index[static_cast<std::size_t>(i)]];
-    if constexpr (B == ConvBackend::kScalar) {
-      adj_scatter_scalar<DIM>(dst, strides, wb, v);
-    } else if constexpr (B == ConvBackend::kSse) {
-      adj_scatter_simd<DIM>(dst, strides, wb, v);
-    } else {
-      adj_scatter_avx2<DIM>(dst, strides, wb, v);
-    }
+  if (nb == 1) {
+    spread_loop<B, DIM, W2, HORNER, 1>(a, raws, nb, dst, slab_stride, strides);
+  } else {
+    spread_loop<B, DIM, W2, HORNER, kSlabGroup>(a, raws, nb, dst, slab_stride, strides);
   }
 }
 
 template <ConvBackend B, int DIM, int W2, bool HORNER>
 void interp_range(const ConvRange& a, const cfloat* grid, std::size_t slab_stride,
                   const std::array<index_t, 3>& strides, cfloat* const* outs, index_t nb) {
-  if (nb != 1) {
-    interp_batch<B, DIM, W2, HORNER>(a, grid, slab_stride, strides, outs, nb);
-    return;
-  }
-  cfloat* out = outs[0];
-  WindowBuf wb;
-  for (index_t i = a.begin; i < a.end; ++i) {
-    sample_window<B, DIM, W2, HORNER>(a, i, wb);
-    cfloat v;
-    if constexpr (B == ConvBackend::kScalar) {
-      v = fwd_gather_scalar<DIM>(grid, strides, wb);
-    } else if constexpr (B == ConvBackend::kSse) {
-      v = fwd_gather_simd<DIM>(grid, strides, wb);
-    } else {
-      v = fwd_gather_avx2<DIM>(grid, strides, wb);
-    }
-    out[a.orig_index[static_cast<std::size_t>(i)]] = v;
+  if (nb == 1) {
+    interp_loop<B, DIM, W2, HORNER, 1>(a, grid, slab_stride, strides, outs, nb);
+  } else {
+    interp_loop<B, DIM, W2, HORNER, kSlabGroup>(a, grid, slab_stride, strides, outs, nb);
   }
 }
 

@@ -1,7 +1,7 @@
-// SSE-backend variant instantiations. Part 2 routes to the adj_scatter_simd /
-// fwd_gather_simd kernels of core/convolution.cpp (baseline SSE2 — the TU
-// itself stays baseline-compiled; see the FP-contraction note in
-// conv_variants.hpp).
+// SSE-backend variant instantiations. Part 2 routes to the scatter_slices_sse
+// / gather_slices_sse kernels of core/batch_conv.cpp at slice-group width 1
+// or kSlabGroup (baseline SSE — the TU itself stays baseline-compiled; see
+// the FP-contraction note in conv_variants.hpp).
 #include "core/conv_variants.hpp"
 
 namespace nufft::detail {

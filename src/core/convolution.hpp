@@ -9,18 +9,20 @@
 //   forward  (gather):  raw[p]  += Σ f[kx,ky,kz]·winX·winY·winZ
 //   adjoint (scatter):  f[kx,ky,kz] += raw[p]·winX·winY·winZ
 //
-// Both come in a scalar and a hybrid-SIMD variant. The SIMD variant follows
-// the paper §III-C: the innermost loop runs over *consecutive grid cells*
-// along the last dimension, processing two interleaved complex values per
-// 128-bit SSE register with pair-duplicated weights. Samples whose window
-// wraps around the periodic grid boundary in the last dimension take the
-// scalar indexed path (they are a vanishing fraction of realistic
+// Each backend has one Part-2 kernel family. The scalar kernels below are
+// the paper's "Base" variant (Fig. 13), pinned to scalar codegen. The SIMD
+// kernels (core/batch_conv.hpp) follow the paper §III-C: the innermost loop
+// runs over *consecutive grid cells* along the last dimension, two (SSE) or
+// four (AVX2) interleaved complex values per register with pair-duplicated
+// weights, over a compile-time group of G batch slices — a single apply is
+// G = 1. Samples whose window wraps around the periodic grid boundary in the
+// last dimension take an indexed path (a vanishing fraction of realistic
 // trajectories, whose energy concentrates mid-grid).
 //
-// Bit-exactness: the adjoint SIMD path performs, per grid cell, the same
-// two multiplies in the same order as the scalar path, so adjoint scalar
-// and SIMD results are bitwise identical. The forward SIMD path uses two
-// partial accumulators across z, so it matches scalar only to rounding.
+// Bit-exactness: every adjoint kernel adds val·(w·wxy) per cell, with each
+// cell's weight w·wxy rounded on its own, so the scalar and SSE adjoints are
+// bitwise identical. The SIMD gathers keep vector accumulators (and AVX2
+// uses FMA), so forwards match scalar only to rounding.
 #pragma once
 
 #include <array>
@@ -84,16 +86,10 @@ void compute_window(const GridDesc& g, const WindowEval& ev, const float* coord,
 template <int DIM>
 void adj_scatter_scalar(cfloat* grid, const std::array<index_t, 3>& strides,
                         const WindowBuf& wb, cfloat val);
-template <int DIM>
-void adj_scatter_simd(cfloat* grid, const std::array<index_t, 3>& strides, const WindowBuf& wb,
-                      cfloat val);
 
 /// Part 2, forward (gather): return the weighted sum of grid neighbours.
 template <int DIM>
 cfloat fwd_gather_scalar(const cfloat* grid, const std::array<index_t, 3>& strides,
                          const WindowBuf& wb);
-template <int DIM>
-cfloat fwd_gather_simd(const cfloat* grid, const std::array<index_t, 3>& strides,
-                       const WindowBuf& wb);
 
 }  // namespace nufft

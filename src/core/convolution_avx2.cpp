@@ -1,7 +1,5 @@
-// This translation unit is compiled with -mavx2 -mfma (see src/CMakeLists).
+// Baseline-compiled: this check must run on CPUs without AVX2.
 #include "core/convolution_avx2.hpp"
-
-#include "simd/vec8f.hpp"
 
 namespace nufft {
 
@@ -12,108 +10,5 @@ bool avx2_available() {
   return false;
 #endif
 }
-
-namespace {
-
-// Inner loop over the contiguous last dimension: 4 complex cells per op,
-// then a 2-cell SSE-width step, then a scalar remainder.
-inline void adj_inner_avx2(cfloat* row, const WindowBuf& wb, int last, cfloat tmp) {
-  const int len = wb.len[last];
-  if (!wb.inner_contiguous) {
-    // Wrapped windows take the indexed path (rare).
-    for (int t = 0; t < len; ++t) row[wb.idx[last][t]] += tmp * wb.win[last][t];
-    return;
-  }
-  auto* p = reinterpret_cast<float*>(row + wb.idx[last][0]);
-  const simd::Vec8f v = simd::Vec8f::broadcast_complex(tmp.real(), tmp.imag());
-  const int quads = len / 4;
-  for (int j = 0; j < quads; ++j) {
-    const simd::Vec8f w = simd::Vec8f::load(wb.win_dup + 8 * j);
-    simd::fmadd(v, w, simd::Vec8f::loadu(p + 8 * j)).storeu(p + 8 * j);
-  }
-  for (int t = 4 * quads; t < len; ++t) {
-    row[wb.idx[last][0] + t] += tmp * wb.win[last][t];
-  }
-}
-
-inline cfloat fwd_inner_avx2(const cfloat* row, const WindowBuf& wb, int last) {
-  const int len = wb.len[last];
-  if (!wb.inner_contiguous) {
-    cfloat acc(0.0f, 0.0f);
-    for (int t = 0; t < len; ++t) acc += row[wb.idx[last][t]] * wb.win[last][t];
-    return acc;
-  }
-  const auto* p = reinterpret_cast<const float*>(row + wb.idx[last][0]);
-  simd::Vec8f acc = simd::Vec8f::zero();
-  const int quads = len / 4;
-  for (int j = 0; j < quads; ++j) {
-    const simd::Vec8f w = simd::Vec8f::load(wb.win_dup + 8 * j);
-    acc = simd::fmadd(simd::Vec8f::loadu(p + 8 * j), w, acc);
-  }
-  float re = 0.0f, im = 0.0f;
-  acc.hsum_complex(re, im);
-  cfloat out(re, im);
-  for (int t = 4 * quads; t < len; ++t) {
-    out += row[wb.idx[last][0] + t] * wb.win[last][t];
-  }
-  return out;
-}
-
-}  // namespace
-
-template <int DIM>
-void adj_scatter_avx2(cfloat* grid, const std::array<index_t, 3>& strides, const WindowBuf& wb,
-                      cfloat val) {
-  constexpr int last = DIM - 1;
-  if constexpr (DIM == 1) {
-    adj_inner_avx2(grid, wb, last, val);
-  } else if constexpr (DIM == 2) {
-    for (int iy = 0; iy < wb.len[0]; ++iy) {
-      adj_inner_avx2(grid + wb.idx[0][iy] * strides[0], wb, last, val * wb.win[0][iy]);
-    }
-  } else {
-    for (int ix = 0; ix < wb.len[0]; ++ix) {
-      cfloat* base = grid + wb.idx[0][ix] * strides[0];
-      const float wx = wb.win[0][ix];
-      for (int iy = 0; iy < wb.len[1]; ++iy) {
-        const float wxy = wx * wb.win[1][iy];
-        adj_inner_avx2(base + wb.idx[1][iy] * strides[1], wb, last, val * wxy);
-      }
-    }
-  }
-}
-
-template <int DIM>
-cfloat fwd_gather_avx2(const cfloat* grid, const std::array<index_t, 3>& strides,
-                       const WindowBuf& wb) {
-  constexpr int last = DIM - 1;
-  if constexpr (DIM == 1) {
-    return fwd_inner_avx2(grid, wb, last);
-  } else if constexpr (DIM == 2) {
-    cfloat acc(0.0f, 0.0f);
-    for (int iy = 0; iy < wb.len[0]; ++iy) {
-      acc += fwd_inner_avx2(grid + wb.idx[0][iy] * strides[0], wb, last) * wb.win[0][iy];
-    }
-    return acc;
-  } else {
-    cfloat acc(0.0f, 0.0f);
-    for (int ix = 0; ix < wb.len[0]; ++ix) {
-      const cfloat* base = grid + wb.idx[0][ix] * strides[0];
-      const float wx = wb.win[0][ix];
-      for (int iy = 0; iy < wb.len[1]; ++iy) {
-        const float wxy = wx * wb.win[1][iy];
-        acc += fwd_inner_avx2(base + wb.idx[1][iy] * strides[1], wb, last) * wxy;
-      }
-    }
-    return acc;
-  }
-}
-
-template void adj_scatter_avx2<1>(cfloat*, const std::array<index_t, 3>&, const WindowBuf&, cfloat);
-template void adj_scatter_avx2<2>(cfloat*, const std::array<index_t, 3>&, const WindowBuf&, cfloat);
-template void adj_scatter_avx2<3>(cfloat*, const std::array<index_t, 3>&, const WindowBuf&, cfloat);
-template cfloat fwd_gather_avx2<1>(const cfloat*, const std::array<index_t, 3>&, const WindowBuf&);
-template cfloat fwd_gather_avx2<2>(const cfloat*, const std::array<index_t, 3>&, const WindowBuf&);
-template cfloat fwd_gather_avx2<3>(const cfloat*, const std::array<index_t, 3>&, const WindowBuf&);
 
 }  // namespace nufft

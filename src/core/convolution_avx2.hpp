@@ -1,28 +1,13 @@
-// AVX2 convolution kernels (the paper's wider-SIMD extension).
-//
-// Same contract as the SSE kernels in convolution.hpp, but processing four
-// interleaved complex grid cells per 256-bit operation with FMA. Available
-// only when the CPU supports AVX2+FMA — query avx2_available() before
-// dispatching; calling these on an older CPU is undefined (SIGILL).
+// Runtime gate of the AVX2+FMA kernels (the paper's wider-SIMD extension):
+// the Part-2 kernels of core/batch_conv_avx2.cpp, the FFT stages of
+// core/batch_fft_avx2.cpp and the Horner row evaluator. Query
+// avx2_available() before dispatching to any of them; calling them on an
+// older CPU is undefined (SIGILL).
 #pragma once
-
-#include <array>
-
-#include "common/types.hpp"
-#include "core/convolution.hpp"
-#include "core/grid.hpp"
 
 namespace nufft {
 
 /// True when this process may execute the AVX2 kernels.
 bool avx2_available();
-
-template <int DIM>
-void adj_scatter_avx2(cfloat* grid, const std::array<index_t, 3>& strides, const WindowBuf& wb,
-                      cfloat val);
-
-template <int DIM>
-cfloat fwd_gather_avx2(const cfloat* grid, const std::array<index_t, 3>& strides,
-                       const WindowBuf& wb);
 
 }  // namespace nufft

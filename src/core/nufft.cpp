@@ -224,6 +224,16 @@ Workspace Nufft::make_workspace(index_t capacity) const {
   return ws;
 }
 
+void Nufft::check_workspace(const Workspace& ws) const {
+  NUFFT_CHECK_MSG(ws.capacity >= 1 && ws.capacity <= kMaxBatch,
+                  "workspace capacity " << ws.capacity << " is outside [1, " << kMaxBatch << "]");
+  NUFFT_CHECK_MSG(ws.grid.size() >= static_cast<std::size_t>(ws.capacity) *
+                                        static_cast<std::size_t>(g_.grid_elems()),
+                  "workspace was not made by this plan: " << ws.grid.size() << " grid cells for "
+                                                          << ws.capacity << " slabs of "
+                                                          << g_.grid_elems());
+}
+
 void Nufft::fit_private_bufs(Workspace& ws) const {
   if (ws.privatization_downgraded) return;
   // The private buffers are an optimization: when they cannot be allocated
@@ -525,6 +535,7 @@ void Nufft::adjoint_chunk(const cfloat* const* raws, cfloat* const* images, inde
 void Nufft::forward(const cfloat* const* images, cfloat* const* raws, index_t nb, Workspace& ws,
                     ThreadPool& pool) const {
   NUFFT_CHECK(nb >= 1);
+  check_workspace(ws);
   ws.fwd_stats = OperatorStats{};
   obs::Span apply("nufft.forward", "core", nb);
   Timer total;
@@ -538,6 +549,7 @@ void Nufft::forward(const cfloat* const* images, cfloat* const* raws, index_t nb
 void Nufft::adjoint(const cfloat* const* raws, cfloat* const* images, index_t nb, Workspace& ws,
                     ThreadPool& pool) const {
   NUFFT_CHECK(nb >= 1);
+  check_workspace(ws);
   fit_private_bufs(ws);
   ws.adj_stats = OperatorStats{};
   ws.trace.clear();

@@ -111,6 +111,11 @@ class Nufft {
   /// buffers).
   std::size_t workspace_bytes() const;
 
+  /// Throws kInvalidInput unless `ws` can hold a chunk of this plan:
+  /// 1 ≤ capacity ≤ kMaxBatch and capacity grids of grid_elems() cells.
+  /// Every apply through a caller's workspace runs it first.
+  void check_workspace(const Workspace& ws) const;
+
   /// The apply driver: nb slices, images[b] (N^dim, centered, row-major) →
   /// raws[b] (sample values, caller order), in chunks of ws.capacity.
   /// Thread-safe on a const plan: concurrent calls must pass distinct

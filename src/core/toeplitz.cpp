@@ -87,11 +87,6 @@ void crop(const Axes& ax, const cfloat* grid, std::size_t slab, cfloat* const* i
   });
 }
 
-void check_workspace(const Workspace& ws, std::size_t slab) {
-  NUFFT_CHECK_MSG(ws.grid.size() >= static_cast<std::size_t>(ws.capacity) * slab,
-                  "workspace was not made by this plan");
-}
-
 }  // namespace
 
 ToeplitzNormal::ToeplitzNormal(const Nufft& plan, Workspace& ws, ThreadPool& pool,
@@ -107,7 +102,7 @@ ToeplitzNormal::ToeplitzNormal(const Nufft& plan, Workspace& ws, ThreadPool& poo
                         << " (alpha = " << g.alpha << ")");
   }
   const auto slab = static_cast<std::size_t>(g.grid_elems());
-  check_workspace(ws, slab);
+  plan.check_workspace(ws);
   const index_t count = plan.sample_count();
   if (weights != nullptr) {
     for (index_t i = 0; i < count; ++i) {
@@ -210,7 +205,7 @@ void ToeplitzNormal::apply(const cfloat* const* in, cfloat* const* out, index_t 
                                  << "; rebuild it after update_samples");
   const GridDesc& g = plan_->grid_desc();
   const auto slab = static_cast<std::size_t>(g.grid_elems());
-  check_workspace(ws, slab);
+  plan_->check_workspace(ws);
   const Axes ax(g);
   cfloat* const grid = ws.grid.data();
   const float* const kernel = kernel_.data();

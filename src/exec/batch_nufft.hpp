@@ -15,8 +15,8 @@
 //    the trajectory, not on the data).
 //  * The scheduler — one TDG / priority-queue walk convolves all B slices
 //    per task, so fork/join and queue traffic are paid once.
-//  * Part 2 weight vectors — the multi-slice kernels (core/batch_conv.hpp)
-//    hoist the wxy·win products out of the slice loop.
+//  * Part 2 weight vectors — the Part-2 kernels (core/batch_conv.hpp) build
+//    the wxy·win products once per row for a group of slices.
 //  * The FFT — column-interleaved batched Stockham stages over the plan's
 //    pruned transform (core/batch_fft.hpp).
 //
@@ -33,13 +33,11 @@
 // instances (and Workspace applies) may run concurrently on one plan, each
 // with its own ThreadPool.
 //
-// Determinism: in scalar mode (PlanConfig::use_simd = false) with one
-// thread, batched results are bit-identical to B single applies — the
-// per-slice scatter/gather/FFT operations execute in the same order with
-// the same associations. The SIMD multi-slice kernels re-associate weight
-// products across the batch and match to rounding (tests pin 1e-5). A
-// one-slice chunk (B = 1, or a one-slice tail after chunking at max_batch())
-// is exactly a single apply and equals it bitwise.
+// Determinism: on every backend (scalar, SSE, AVX2), slice b of a batched
+// apply is bit-identical to the single apply of slice b, whatever B and
+// max_batch() are. The convolution runs the same per-slice arithmetic at any
+// slice-group width, and the plan's FFT never mixes slices (see
+// core/batch_conv.hpp and core/batch_fft.hpp).
 #pragma once
 
 #include <vector>

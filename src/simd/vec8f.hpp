@@ -2,7 +2,7 @@
 // future many-core architectures" extension the paper anticipates (§I).
 //
 // This header must only be included from translation units compiled with
-// -mavx2 -mfma (see src/core/convolution_avx2.cpp). Unlike the SSE path,
+// -mavx2 -mfma (see src/core/batch_conv_avx2.cpp). Unlike the SSE path,
 // the AVX2 kernels use fused multiply-add: Haswell-class cores pair FMA
 // pipes with the wider registers, so the faithful "what would this code do
 // on newer hardware" port uses them. Consequently AVX2 results match the

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstddef>
+#include <cstring>
 #include <memory>
 #include <sstream>
 
@@ -84,6 +85,12 @@ class Report {
   void check_rel(const char* what, double err, double tol) {
     if (!(err <= tol)) {  // catches NaN too
       fail() << what << ": rel err " << err << " > tol " << tol;
+    }
+  }
+
+  void check_bitwise(const std::string& what, const cfloat* got, const cfloat* want, index_t n) {
+    if (n > 0 && std::memcmp(got, want, static_cast<std::size_t>(n) * sizeof(cfloat)) != 0) {
+      fail() << what << ": not bitwise equal (rel err " << rel_err(got, want, n) << ")";
     }
   }
 
@@ -379,45 +386,50 @@ void run_full(const FuzzConfig& c, Report& rep) {
     }
   }
 
-  // Batched applies: every slice must match a single apply on the same plan.
+  // Batched applies: on every backend, each slice must equal a single apply
+  // on the same plan, bitwise (the batch-width contract).
   if (c.batch > 1) {
-    Nufft& bplan = *plans.back();  // widest available SIMD path
-    exec::BatchNufft batch(bplan, c.batch);
-    std::vector<cvecf> imgs, raws_out, raws_in, imgs_out;
+    std::vector<cvecf> imgs, raws_in;
     std::vector<const cfloat*> img_ptrs, rawin_ptrs;
-    std::vector<cfloat*> rawout_ptrs, imgout_ptrs;
     for (index_t b = 0; b < c.batch; ++b) {
       imgs.push_back(random_complex(g.image_elems(),
                                     c.seed ^ (0xA076u + static_cast<std::uint64_t>(b) * 77)));
       raws_in.push_back(random_complex(set.count(),
                                        c.seed ^ (0xB152u + static_cast<std::uint64_t>(b) * 131)));
-      raws_out.emplace_back(static_cast<std::size_t>(set.count()));
-      imgs_out.emplace_back(static_cast<std::size_t>(g.image_elems()));
     }
     for (index_t b = 0; b < c.batch; ++b) {
       img_ptrs.push_back(imgs[static_cast<std::size_t>(b)].data());
       rawin_ptrs.push_back(raws_in[static_cast<std::size_t>(b)].data());
-      rawout_ptrs.push_back(raws_out[static_cast<std::size_t>(b)].data());
-      imgout_ptrs.push_back(imgs_out[static_cast<std::size_t>(b)].data());
     }
-    batch.forward(img_ptrs.data(), rawout_ptrs.data(), c.batch);
-    batch.adjoint(rawin_ptrs.data(), imgout_ptrs.data(), c.batch);
+    for (std::size_t v = 0; v < plans.size(); ++v) {
+      Nufft& bplan = *plans[v];
+      std::vector<cvecf> raws_out, imgs_out;
+      std::vector<cfloat*> rawout_ptrs, imgout_ptrs;
+      for (index_t b = 0; b < c.batch; ++b) {
+        raws_out.emplace_back(static_cast<std::size_t>(set.count()));
+        imgs_out.emplace_back(static_cast<std::size_t>(g.image_elems()));
+      }
+      for (index_t b = 0; b < c.batch; ++b) {
+        rawout_ptrs.push_back(raws_out[static_cast<std::size_t>(b)].data());
+        imgout_ptrs.push_back(imgs_out[static_cast<std::size_t>(b)].data());
+      }
+      exec::BatchNufft batch(bplan, c.batch);
+      batch.forward(img_ptrs.data(), rawout_ptrs.data(), c.batch);
+      batch.adjoint(rawin_ptrs.data(), imgout_ptrs.data(), c.batch);
 
-    cvecf single_raw(static_cast<std::size_t>(set.count()));
-    cvecf single_img(static_cast<std::size_t>(g.image_elems()));
-    for (index_t b = 0; b < c.batch; ++b) {
-      bplan.forward(imgs[static_cast<std::size_t>(b)].data(), single_raw.data());
-      const std::string fn = "batch slice " + std::to_string(b) + " forward vs single apply";
-      rep.check_rel(fn.c_str(),
-                    rel_err(raws_out[static_cast<std::size_t>(b)].data(), single_raw.data(),
-                            set.count()),
-                    5e-4);
-      bplan.adjoint(raws_in[static_cast<std::size_t>(b)].data(), single_img.data());
-      const std::string an = "batch slice " + std::to_string(b) + " adjoint vs single apply";
-      rep.check_rel(an.c_str(),
-                    rel_err(imgs_out[static_cast<std::size_t>(b)].data(), single_img.data(),
-                            g.image_elems()),
-                    5e-4);
+      cvecf single_raw(static_cast<std::size_t>(set.count()));
+      cvecf single_img(static_cast<std::size_t>(g.image_elems()));
+      for (index_t b = 0; b < c.batch; ++b) {
+        const auto bs = static_cast<std::size_t>(b);
+        const std::string slice =
+            std::string(variants[v].name) + " batch slice " + std::to_string(b);
+        bplan.forward(imgs[bs].data(), single_raw.data());
+        rep.check_bitwise(slice + " forward vs single apply", raws_out[bs].data(),
+                          single_raw.data(), set.count());
+        bplan.adjoint(raws_in[bs].data(), single_img.data());
+        rep.check_bitwise(slice + " adjoint vs single apply", imgs_out[bs].data(),
+                          single_img.data(), g.image_elems());
+      }
     }
   }
 

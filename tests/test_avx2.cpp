@@ -1,5 +1,6 @@
-// Tests for the AVX2 (8-wide FMA) convolution extension. All tests skip on
-// CPUs without AVX2+FMA.
+// Tests for the AVX2 (8-wide FMA) convolution extension; the kernels run at
+// slice-group width 1, as a single apply runs them. All tests skip on CPUs
+// without AVX2+FMA.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -17,6 +18,7 @@ namespace {
 
 using kernels::KaiserBessel;
 using kernels::KernelLut;
+using testing::Part2;
 
 #define SKIP_WITHOUT_AVX2()                              \
   if (!avx2_available()) {                               \
@@ -43,20 +45,8 @@ TEST_P(Avx2Kernels, ScatterMatchesSse) {
                      static_cast<float>(rng.uniform(-1, 1)));
     WindowBuf wb;
     compute_window(g, lut, coord, dim, true, wb);
-    switch (dim) {
-      case 1:
-        adj_scatter_simd<1>(a.data(), st, wb, val);
-        adj_scatter_avx2<1>(b.data(), st, wb, val);
-        break;
-      case 2:
-        adj_scatter_simd<2>(a.data(), st, wb, val);
-        adj_scatter_avx2<2>(b.data(), st, wb, val);
-        break;
-      default:
-        adj_scatter_simd<3>(a.data(), st, wb, val);
-        adj_scatter_avx2<3>(b.data(), st, wb, val);
-        break;
-    }
+    testing::scatter1(Part2::kSse, dim, a.data(), st, wb, val);
+    testing::scatter1(Part2::kAvx2, dim, b.data(), st, wb, val);
   }
   // FMA contraction changes rounding; agreement is to tolerance.
   EXPECT_LT(testing::max_abs_diff(a.data(), b.data(), g.grid_elems()), 1e-5);
@@ -77,21 +67,8 @@ TEST_P(Avx2Kernels, GatherMatchesSse) {
     for (int d = 0; d < dim; ++d) coord[d] = static_cast<float>(rng.uniform(0.0, 48.0));
     WindowBuf wb;
     compute_window(g, lut, coord, dim, true, wb);
-    cfloat s, v;
-    switch (dim) {
-      case 1:
-        s = fwd_gather_simd<1>(grid.data(), st, wb);
-        v = fwd_gather_avx2<1>(grid.data(), st, wb);
-        break;
-      case 2:
-        s = fwd_gather_simd<2>(grid.data(), st, wb);
-        v = fwd_gather_avx2<2>(grid.data(), st, wb);
-        break;
-      default:
-        s = fwd_gather_simd<3>(grid.data(), st, wb);
-        v = fwd_gather_avx2<3>(grid.data(), st, wb);
-        break;
-    }
+    const cfloat s = testing::gather1(Part2::kSse, dim, grid.data(), st, wb);
+    const cfloat v = testing::gather1(Part2::kAvx2, dim, grid.data(), st, wb);
     ASSERT_NEAR(std::abs(s - v), 0.0, 1e-4 * (1.0 + std::abs(s)));
   }
 }

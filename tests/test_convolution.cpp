@@ -1,6 +1,7 @@
 // Tests for the convolution window (Part 1) and gather/scatter kernels
 // (Part 2): correctness against a brute-force reference, wrap handling,
-// scalar-vs-SIMD agreement (bitwise for the adjoint).
+// scalar-vs-SIMD agreement (bitwise for the adjoint). The SIMD kernels run at
+// slice-group width 1, as a single apply runs them.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -16,6 +17,7 @@ namespace {
 
 using kernels::KaiserBessel;
 using kernels::KernelLut;
+using testing::Part2;
 
 // Brute-force reference: scatter val onto every grid cell within radius W of
 // the sample (separable product of kernel values), wrapping mod M.
@@ -138,20 +140,15 @@ TEST_P(ConvCorrectness, ScatterMatchesBruteForce) {
 
     WindowBuf wb;
     compute_window(g, lut, coord, dim, simd, wb);
+    testing::scatter1(simd ? Part2::kSse : Part2::kScalar, dim, got.data(), st, wb, val);
     switch (dim) {
       case 1:
-        simd ? adj_scatter_simd<1>(got.data(), st, wb, val)
-             : adj_scatter_scalar<1>(got.data(), st, wb, val);
         reference_scatter<1>(g, kb, coord, val, want.data());
         break;
       case 2:
-        simd ? adj_scatter_simd<2>(got.data(), st, wb, val)
-             : adj_scatter_scalar<2>(got.data(), st, wb, val);
         reference_scatter<2>(g, kb, coord, val, want.data());
         break;
       default:
-        simd ? adj_scatter_simd<3>(got.data(), st, wb, val)
-             : adj_scatter_scalar<3>(got.data(), st, wb, val);
         reference_scatter<3>(g, kb, coord, val, want.data());
         break;
     }
@@ -178,29 +175,10 @@ TEST_P(ConvCorrectness, GatherIsAdjointOfScatter) {
     WindowBuf wb;
     compute_window(g, lut, coord, dim, simd, wb);
 
-    cfloat gathered;
+    const Part2 kind = simd ? Part2::kSse : Part2::kScalar;
+    const cfloat gathered = testing::gather1(kind, dim, grid.data(), st, wb);
     cvecf scattered(static_cast<std::size_t>(g.grid_elems()), cfloat(0, 0));
-    const cfloat one(1.0f, 0.0f);
-    switch (dim) {
-      case 1:
-        gathered = simd ? fwd_gather_simd<1>(grid.data(), st, wb)
-                        : fwd_gather_scalar<1>(grid.data(), st, wb);
-        simd ? adj_scatter_simd<1>(scattered.data(), st, wb, one)
-             : adj_scatter_scalar<1>(scattered.data(), st, wb, one);
-        break;
-      case 2:
-        gathered = simd ? fwd_gather_simd<2>(grid.data(), st, wb)
-                        : fwd_gather_scalar<2>(grid.data(), st, wb);
-        simd ? adj_scatter_simd<2>(scattered.data(), st, wb, one)
-             : adj_scatter_scalar<2>(scattered.data(), st, wb, one);
-        break;
-      default:
-        gathered = simd ? fwd_gather_simd<3>(grid.data(), st, wb)
-                        : fwd_gather_scalar<3>(grid.data(), st, wb);
-        simd ? adj_scatter_simd<3>(scattered.data(), st, wb, one)
-             : adj_scatter_scalar<3>(scattered.data(), st, wb, one);
-        break;
-    }
+    testing::scatter1(kind, dim, scattered.data(), st, wb, cfloat(1.0f, 0.0f));
     cdouble dot(0, 0);
     for (index_t i = 0; i < g.grid_elems(); ++i) {
       dot += cdouble(grid[static_cast<std::size_t>(i)].real(),
@@ -245,20 +223,8 @@ TEST_P(ScalarVsSimd, AdjointBitwiseIdentical) {
                      static_cast<float>(rng.uniform(-1, 1)));
     WindowBuf wb;
     compute_window(g, lut, coord, dim, true, wb);
-    switch (dim) {
-      case 1:
-        adj_scatter_scalar<1>(a.data(), st, wb, val);
-        adj_scatter_simd<1>(b.data(), st, wb, val);
-        break;
-      case 2:
-        adj_scatter_scalar<2>(a.data(), st, wb, val);
-        adj_scatter_simd<2>(b.data(), st, wb, val);
-        break;
-      default:
-        adj_scatter_scalar<3>(a.data(), st, wb, val);
-        adj_scatter_simd<3>(b.data(), st, wb, val);
-        break;
-    }
+    testing::scatter1(Part2::kScalar, dim, a.data(), st, wb, val);
+    testing::scatter1(Part2::kSse, dim, b.data(), st, wb, val);
   }
   for (index_t i = 0; i < g.grid_elems(); ++i) {
     ASSERT_EQ(a[static_cast<std::size_t>(i)], b[static_cast<std::size_t>(i)]) << "i=" << i;
@@ -279,21 +245,8 @@ TEST_P(ScalarVsSimd, ForwardAgreesToRounding) {
     for (int d = 0; d < dim; ++d) coord[d] = static_cast<float>(rng.uniform(0.0, 48.0));
     WindowBuf wb;
     compute_window(g, lut, coord, dim, true, wb);
-    cfloat s, v;
-    switch (dim) {
-      case 1:
-        s = fwd_gather_scalar<1>(grid.data(), st, wb);
-        v = fwd_gather_simd<1>(grid.data(), st, wb);
-        break;
-      case 2:
-        s = fwd_gather_scalar<2>(grid.data(), st, wb);
-        v = fwd_gather_simd<2>(grid.data(), st, wb);
-        break;
-      default:
-        s = fwd_gather_scalar<3>(grid.data(), st, wb);
-        v = fwd_gather_simd<3>(grid.data(), st, wb);
-        break;
-    }
+    const cfloat s = testing::gather1(Part2::kScalar, dim, grid.data(), st, wb);
+    const cfloat v = testing::gather1(Part2::kSse, dim, grid.data(), st, wb);
     ASSERT_NEAR(std::abs(s - v), 0.0, 1e-4 * (1.0 + std::abs(s)));
   }
 }
@@ -419,8 +372,8 @@ TEST(Convolution, EnergyConservedByScatterGatherPair) {
   const float coord[3] = {16.4f, 17.6f, 15.2f};
   compute_window(g, lut, coord, 3, true, wb);
   cvecf grid(static_cast<std::size_t>(g.grid_elems()), cfloat(0, 0));
-  adj_scatter_simd<3>(grid.data(), st, wb, cfloat(2.0f, -1.0f));
-  const cfloat back = fwd_gather_simd<3>(grid.data(), st, wb);
+  testing::scatter1(Part2::kSse, 3, grid.data(), st, wb, cfloat(2.0f, -1.0f));
+  const cfloat back = testing::gather1(Part2::kSse, 3, grid.data(), st, wb);
   double wsum = 0.0;
   for (int x = 0; x < wb.len[0]; ++x) {
     for (int y = 0; y < wb.len[1]; ++y) {

@@ -9,7 +9,9 @@
 // drjit's TEST_BOTH style — TEST_EACH_VARIANT defines one body and runs it
 // over every registered constexpr-W variant paired with its runtime-W
 // sibling — and compare spread (direct and privatized-box), interp, and the
-// nb = 8 batched entry bitwise. The remaining tests pin the registry shape,
+// nb = 8 batched entry bitwise. The same idiom checks the batch-width
+// contract: slice b of every variant's nb = 8 call equals its nb = 1 call on
+// slice b's data, bitwise. The remaining tests pin the registry shape,
 // the runtime-W binding of uncovered widths, and that the plan-time
 // selection is observable (PlanStats + the obs counter).
 //
@@ -138,60 +140,67 @@ SampleSet clustered_samples(int dim, index_t m, index_t count) {
 void expect_bitwise_equal(const cvecf& a, const cvecf& b, const std::string& what) {
   ASSERT_EQ(a.size(), b.size()) << what;
   ASSERT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(cfloat)), 0)
-      << what << ": constexpr-W and runtime-W outputs differ bitwise";
+      << what << ": outputs differ bitwise";
 }
 
-/// One variant's outputs over every task of a plan, at nb = 1 ([0]) and
-/// nb = kNb ([1]): the spread grids followed by each privatized task's
-/// box(es), and the interp outputs.
-struct VariantRun {
-  cvecf spread[2];
-  cvecf interp[2];
+/// One variant's outputs over every task of a plan for the nb slices of
+/// `raws` / `grids` starting at `first`, per slice: the spread grid followed
+/// by the slice's box in each privatized task, and the interp outputs.
+struct SliceRun {
+  std::vector<cvecf> spread;
+  std::vector<cvecf> interp;
 };
 
-VariantRun run_variant(const Nufft& plan, const ConvVariant& v, const cvecf& raws,
-                       const cvecf& grids) {
+SliceRun run_variant(const Nufft& plan, const ConvVariant& v, const cvecf& raws,
+                     const cvecf& grids, index_t first, index_t nb) {
   const GridDesc& g = plan.grid_desc();
   const Preprocessed& pp = plan.plan();
   const auto st = g.grid_strides();
   const index_t count = plan.sample_count();
   const auto gsize = static_cast<std::size_t>(g.grid_elems());
-  std::vector<const cfloat*> in(kNb);
-  for (index_t b = 0; b < kNb; ++b) in[static_cast<std::size_t>(b)] = raws.data() + b * count;
+  const auto nbs = static_cast<std::size_t>(nb);
+  std::vector<const cfloat*> in(nbs);
+  std::vector<cfloat*> outs(nbs);
+  SliceRun r;
+  r.spread.resize(nbs);
+  r.interp.assign(nbs, cvecf(static_cast<std::size_t>(count), cfloat(0.0f, 0.0f)));
+  for (std::size_t b = 0; b < nbs; ++b) {
+    in[b] = raws.data() + (first + static_cast<index_t>(b)) * count;
+    outs[b] = r.interp[b].data();
+  }
 
-  VariantRun r;
-  for (const int slot : {0, 1}) {
-    const index_t nb = slot == 0 ? 1 : kNb;
-    cvecf& grid = r.spread[slot];
-    grid.assign(static_cast<std::size_t>(nb) * gsize, cfloat(0.0f, 0.0f));
-    cvecf boxes;
-    for (std::size_t k = 0; k < pp.tasks.size(); ++k) {
-      const ConvTask& task = pp.tasks[k];
-      if (!pp.privatized[k]) {
-        v.spread(plan.conv_range(task, false), in.data(), nb, grid.data(), gsize, st);
-        continue;
-      }
-      const auto box_elems = static_cast<std::size_t>(task.box_elems(g.dim));
-      cvecf box(static_cast<std::size_t>(nb) * box_elems, cfloat(0.0f, 0.0f));
-      v.spread(plan.conv_range(task, true), in.data(), nb, box.data(), box_elems,
-               task.box_strides(g.dim));
-      boxes.insert(boxes.end(), box.begin(), box.end());
+  cvecf grid(nbs * gsize, cfloat(0.0f, 0.0f));
+  std::vector<cvecf> boxes(nbs);
+  for (std::size_t k = 0; k < pp.tasks.size(); ++k) {
+    const ConvTask& task = pp.tasks[k];
+    if (!pp.privatized[k]) {
+      v.spread(plan.conv_range(task, false), in.data(), nb, grid.data(), gsize, st);
+      continue;
     }
-    grid.insert(grid.end(), boxes.begin(), boxes.end());
+    const auto box_elems = static_cast<std::size_t>(task.box_elems(g.dim));
+    cvecf box(nbs * box_elems, cfloat(0.0f, 0.0f));
+    v.spread(plan.conv_range(task, true), in.data(), nb, box.data(), box_elems,
+             task.box_strides(g.dim));
+    for (std::size_t b = 0; b < nbs; ++b) {
+      boxes[b].insert(boxes[b].end(), box.begin() + b * box_elems,
+                      box.begin() + (b + 1) * box_elems);
+    }
+  }
+  for (std::size_t b = 0; b < nbs; ++b) {
+    r.spread[b].assign(grid.begin() + b * gsize, grid.begin() + (b + 1) * gsize);
+    r.spread[b].insert(r.spread[b].end(), boxes[b].begin(), boxes[b].end());
+  }
 
-    cvecf& out = r.interp[slot];
-    out.assign(static_cast<std::size_t>(nb * count), cfloat(0.0f, 0.0f));
-    std::vector<cfloat*> outs(static_cast<std::size_t>(nb));
-    for (index_t b = 0; b < nb; ++b) outs[static_cast<std::size_t>(b)] = out.data() + b * count;
-    for (const ConvTask& task : pp.tasks) {
-      v.interp(plan.conv_range(task, false), grids.data(), gsize, st, outs.data(), nb);
-    }
+  for (const ConvTask& task : pp.tasks) {
+    v.interp(plan.conv_range(task, false), grids.data() + first * g.grid_elems(), gsize, st,
+             outs.data(), nb);
   }
   return r;
 }
 
 /// Plan `set` under `cfg` (which resolves to `fixed`'s key), check the plan
-/// binds `fixed`, and compare `fixed` against `runtime` on that plan.
+/// binds `fixed`, and compare `fixed` against `runtime` on that plan at
+/// nb = 1 and nb = kNb.
 void compare_pair(const ConvVariant& fixed, const ConvVariant& runtime, const GridDesc& g,
                   const SampleSet& set, const PlanConfig& cfg) {
   const Nufft plan(g, set, cfg);
@@ -202,12 +211,31 @@ void compare_pair(const ConvVariant& fixed, const ConvVariant& runtime, const Gr
 
   const cvecf raws = testing::random_raw(kNb * set.count(), 7);
   const cvecf grids = testing::random_image(kNb * g.grid_elems(), 8);
-  const VariantRun a = run_variant(plan, fixed, raws, grids);
-  const VariantRun b = run_variant(plan, runtime, raws, grids);
-  for (const int slot : {0, 1}) {
-    const std::string nb = slot == 0 ? " nb=1" : " nb=8";
-    expect_bitwise_equal(a.spread[slot], b.spread[slot], fixed.name + " spread" + nb);
-    expect_bitwise_equal(a.interp[slot], b.interp[slot], fixed.name + " interp" + nb);
+  for (const index_t nb : {index_t{1}, kNb}) {
+    const SliceRun a = run_variant(plan, fixed, raws, grids, 0, nb);
+    const SliceRun b = run_variant(plan, runtime, raws, grids, 0, nb);
+    for (index_t s = 0; s < nb; ++s) {
+      const std::string where = " nb=" + std::to_string(nb) + " slice " + std::to_string(s);
+      expect_bitwise_equal(a.spread[s], b.spread[s], fixed.name + " vs runtime W spread" + where);
+      expect_bitwise_equal(a.interp[s], b.interp[s], fixed.name + " vs runtime W interp" + where);
+    }
+  }
+}
+
+/// The batch-width contract of one variant on one plan: slice b of an
+/// nb = kNb spread (privatized boxes included) and interp equals the nb = 1
+/// call on slice b's data, bitwise.
+void expect_slices_equal_singles(const ConvVariant& v, const GridDesc& g, const SampleSet& set,
+                                 const PlanConfig& cfg) {
+  const Nufft plan(g, set, cfg);
+  const cvecf raws = testing::random_raw(kNb * set.count(), 11);
+  const cvecf grids = testing::random_image(kNb * g.grid_elems(), 12);
+  const SliceRun batch = run_variant(plan, v, raws, grids, 0, kNb);
+  for (index_t b = 0; b < kNb; ++b) {
+    const SliceRun single = run_variant(plan, v, raws, grids, b, 1);
+    const std::string where = v.name + " slice " + std::to_string(b) + " vs its nb=1 call";
+    expect_bitwise_equal(batch.spread[b], single.spread[0], where + " (spread)");
+    expect_bitwise_equal(batch.interp[b], single.interp[0], where + " (interp)");
   }
 }
 
@@ -342,6 +370,29 @@ TEST_EACH_VARIANT(ConvDispatchBitMatch, PrivatizedTasksMatchRuntimeWidth) {
   cfg.privatization_factor = 0.25;
   ASSERT_GT(preprocess(g, set, cfg).stats.privatized_tasks, 0) << "no privatized task";
   compare_pair(fixed, runtime, g, set, cfg);
+}
+
+// ---- the batch-width contract ---------------------------------------------
+
+TEST_EACH_VARIANT(ConvDispatchBatchWidth, SlicesEqualSingleSliceCallsBitwise) {
+  // nb only sets the slice-group width, never the per-slice arithmetic, so
+  // every slice of a batched call equals a single-slice call — on random
+  // samples and on a clustered set whose privatized tasks spread into boxes.
+  // Each runtime-W variant is checked alongside every constexpr-W sibling.
+  const int dim = fixed.key.dim;
+  const index_t n = image_n_for(dim);
+  const GridDesc g = make_grid(dim, n, 2.0);
+  const auto random = testing::small_trajectory(TrajectoryType::kRandom, dim, n, count_for(dim),
+                                                53 + fixed.key.id() % 13);
+  PlanConfig clustered_cfg = cfg_for(fixed.key);
+  clustered_cfg.threads = 2;
+  clustered_cfg.privatization_factor = 0.25;
+  const SampleSet clustered = clustered_samples(dim, g.m[0], 600);
+  ASSERT_GT(preprocess(g, clustered, clustered_cfg).stats.privatized_tasks, 0);
+  for (const ConvVariant* v : {&fixed, &runtime}) {
+    expect_slices_equal_singles(*v, g, random, cfg_for(fixed.key));
+    expect_slices_equal_singles(*v, g, clustered, clustered_cfg);
+  }
 }
 
 // ---- runtime-W binding -----------------------------------------------------

@@ -6,15 +6,18 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <numeric>
 #include <string>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "baselines/nudft.hpp"
 #include "common/error.hpp"
+#include "core/batch_fft.hpp"
 #include "core/convolution_avx2.hpp"
 #include "core/nufft.hpp"
 #include "datasets/trajectory.hpp"
-#include "fft/fftnd.hpp"
 #include "test_util.hpp"
 
 namespace nufft {
@@ -304,9 +307,10 @@ TEST(NufftComponents, InterpReadsGridWrittenExternally) {
 
 // Pruning is exact: the plan's FFT skips rows that are zero (forward) or
 // never read (adjoint), so each apply equals the unpruned pipeline built
-// from the component entry points and a standalone full FftNd, bitwise —
-// over every backend and two pool widths, on power-of-two grids and on one
-// whose axes run Bluestein (m = 40).
+// from the component entry points and a BatchFft over every row (all-index
+// wrap lists) running the plan's stage choice, bitwise — over every backend
+// and two pool widths, on power-of-two grids and on one whose axes run
+// Bluestein (m = 40).
 TEST(NufftComponents, PrunedApplyEqualsFullFftPipelineBitwise) {
   struct Shape {
     int dim;
@@ -316,10 +320,13 @@ TEST(NufftComponents, PrunedApplyEqualsFullFftPipelineBitwise) {
     const GridDesc g = make_grid(sh.dim, sh.n, 2.0);
     const auto set = testing::small_trajectory(TrajectoryType::kRandom, sh.dim, sh.n,
                                                sh.dim == 1 ? 200 : 2000);
-    std::vector<std::size_t> dims;
-    for (int d = 0; d < g.dim; ++d) dims.push_back(static_cast<std::size_t>(g.m[static_cast<std::size_t>(d)]));
-    const fft::FftNd<float> fwd(dims, fft::Direction::kForward);
-    const fft::FftNd<float> inv(dims, fft::Direction::kInverse);
+    std::array<std::vector<index_t>, 3> all_rows;
+    for (int d = 0; d < g.dim; ++d) {
+      auto& rows = all_rows[static_cast<std::size_t>(d)];
+      rows.resize(static_cast<std::size_t>(g.m[static_cast<std::size_t>(d)]));
+      std::iota(rows.begin(), rows.end(), index_t{0});
+    }
+    const BatchFft full(g, all_rows);
     const cvecf img = testing::random_image(g.image_elems(), 41);
     const cvecf raw = testing::random_raw(set.count(), 42);
     for (const int backend : {0, 1, 2}) {
@@ -330,6 +337,7 @@ TEST(NufftComponents, PrunedApplyEqualsFullFftPipelineBitwise) {
         cfg.use_simd = backend != 0;
         cfg.isa = backend == 2 ? SimdIsa::kAvx2 : SimdIsa::kSse;
         Nufft plan(g, set, cfg);
+        const bool stages = plan.conv_mode() != Nufft::ConvMode::kScalar;
         const std::string where = "dim " + std::to_string(sh.dim) + " m " +
                                   std::to_string(g.m[0]) + " backend " +
                                   std::to_string(backend) + " width " + std::to_string(width);
@@ -338,7 +346,7 @@ TEST(NufftComponents, PrunedApplyEqualsFullFftPipelineBitwise) {
         cvecf want_raw(got_raw.size());
         plan.forward(img.data(), got_raw.data());
         plan.image_to_grid(img.data());
-        fwd.transform(plan.grid_data(), plan.pool());
+        full.transform(plan.grid_data(), 1, fft::Direction::kForward, plan.pool(), stages);
         plan.interp(want_raw.data());
         EXPECT_EQ(std::memcmp(got_raw.data(), want_raw.data(), got_raw.size() * sizeof(cfloat)), 0)
             << "forward, " << where;
@@ -347,7 +355,7 @@ TEST(NufftComponents, PrunedApplyEqualsFullFftPipelineBitwise) {
         cvecf want_img(got_img.size());
         plan.adjoint(raw.data(), got_img.data());
         plan.spread(raw.data());
-        inv.transform(plan.grid_data(), plan.pool());
+        full.transform(plan.grid_data(), 1, fft::Direction::kInverse, plan.pool(), stages);
         plan.grid_to_image(want_img.data());
         EXPECT_EQ(std::memcmp(got_img.data(), want_img.data(), got_img.size() * sizeof(cfloat)), 0)
             << "adjoint, " << where;
@@ -497,6 +505,54 @@ TEST(NufftValidation, RejectsNegativeSampleCount) {
   bad.k = -4;
   bad.s = 1;
   EXPECT_EQ(plan_error_code(g, bad), ErrorCode::kInvalidInput);
+}
+
+// The apply driver writes through the caller's workspace, so it must reject
+// one that cannot hold a chunk of this plan before touching it: a default
+// Workspace (no grid), one made by a smaller plan, and one whose capacity
+// exceeds kMaxBatch (the convolution's per-sample staging bound).
+TEST(NufftValidation, RejectsWorkspacesThatCannotHoldAChunk) {
+  const GridDesc g = make_grid(2, 16, 2.0);
+  const Nufft plan(g, testing::small_trajectory(TrajectoryType::kRandom, 2, 16, 300),
+                   PlanConfig{});
+  const Nufft small(make_grid(2, 8, 2.0),
+                    testing::small_trajectory(TrajectoryType::kRandom, 2, 8, 100), PlanConfig{});
+  Workspace oversized = plan.make_workspace(16);
+  oversized.capacity = 20;
+  oversized.grid.resize(static_cast<std::size_t>(20 * g.grid_elems()));
+  std::vector<std::pair<std::string, Workspace>> cases;
+  cases.emplace_back("default-constructed", Workspace{});
+  cases.emplace_back("made by an N = 8 plan", small.make_workspace());
+  cases.emplace_back("capacity 20", std::move(oversized));
+
+  constexpr index_t kSlices = 20;
+  const cvecf img = testing::random_image(g.image_elems(), 3);
+  const cvecf raw = testing::random_raw(plan.sample_count(), 4);
+  std::vector<cvecf> raws_out(kSlices, cvecf(static_cast<std::size_t>(plan.sample_count())));
+  std::vector<cvecf> imgs_out(kSlices, cvecf(static_cast<std::size_t>(g.image_elems())));
+  std::vector<const cfloat*> imgs_in(kSlices, img.data()), raws_in(kSlices, raw.data());
+  std::vector<cfloat*> raw_ptrs, img_ptrs;
+  for (index_t b = 0; b < kSlices; ++b) {
+    raw_ptrs.push_back(raws_out[static_cast<std::size_t>(b)].data());
+    img_ptrs.push_back(imgs_out[static_cast<std::size_t>(b)].data());
+  }
+  ThreadPool pool(1);
+  const auto code_of = [](auto&& apply) {
+    try {
+      apply();
+    } catch (const Error& e) {
+      return e.code();
+    }
+    return ErrorCode::kInternal;
+  };
+  for (auto& [what, ws] : cases) {
+    EXPECT_EQ(code_of([&] { plan.forward(imgs_in.data(), raw_ptrs.data(), kSlices, ws, pool); }),
+              ErrorCode::kInvalidInput)
+        << "forward, " << what;
+    EXPECT_EQ(code_of([&] { plan.adjoint(raws_in.data(), img_ptrs.data(), kSlices, ws, pool); }),
+              ErrorCode::kInvalidInput)
+        << "adjoint, " << what;
+  }
 }
 
 TEST(NufftValidation, RejectsGridNarrowerThanKernelFootprint) {

@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "core/batch_conv.hpp"
+
 namespace nufft::testing {
 
 cvecf random_image(index_t n, std::uint64_t seed) {
@@ -64,6 +66,50 @@ datasets::SampleSet moved_samples(const datasets::SampleSet& set, index_t stride
     }
   }
   return out;
+}
+
+namespace {
+
+template <int DIM>
+void scatter1_dim(Part2 kind, cfloat* grid, const std::array<index_t, 3>& st,
+                  const WindowBuf& wb, cfloat val) {
+  switch (kind) {
+    case Part2::kScalar: return adj_scatter_scalar<DIM>(grid, st, wb, val);
+    case Part2::kSse: return scatter_slices_sse<DIM, 1>(grid, 0, 1, st, wb, &val);
+    case Part2::kAvx2: return scatter_slices_avx2<DIM, 1>(grid, 0, 1, st, wb, &val);
+  }
+}
+
+template <int DIM>
+cfloat gather1_dim(Part2 kind, const cfloat* grid, const std::array<index_t, 3>& st,
+                   const WindowBuf& wb) {
+  cfloat out;
+  switch (kind) {
+    case Part2::kScalar: return fwd_gather_scalar<DIM>(grid, st, wb);
+    case Part2::kSse: gather_slices_sse<DIM, 1>(grid, 0, 1, st, wb, &out); break;
+    case Part2::kAvx2: gather_slices_avx2<DIM, 1>(grid, 0, 1, st, wb, &out); break;
+  }
+  return out;
+}
+
+}  // namespace
+
+void scatter1(Part2 kind, int dim, cfloat* grid, const std::array<index_t, 3>& strides,
+              const WindowBuf& wb, cfloat val) {
+  switch (dim) {
+    case 1: return scatter1_dim<1>(kind, grid, strides, wb, val);
+    case 2: return scatter1_dim<2>(kind, grid, strides, wb, val);
+    default: return scatter1_dim<3>(kind, grid, strides, wb, val);
+  }
+}
+
+cfloat gather1(Part2 kind, int dim, const cfloat* grid, const std::array<index_t, 3>& strides,
+               const WindowBuf& wb) {
+  switch (dim) {
+    case 1: return gather1_dim<1>(kind, grid, strides, wb);
+    case 2: return gather1_dim<2>(kind, grid, strides, wb);
+    default: return gather1_dim<3>(kind, grid, strides, wb);
+  }
 }
 
 }  // namespace nufft::testing

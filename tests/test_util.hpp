@@ -1,11 +1,13 @@
 // Shared helpers for the test suite.
 #pragma once
 
+#include <array>
 #include <complex>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "common/types.hpp"
+#include "core/convolution.hpp"
 #include "core/grid.hpp"
 #include "datasets/trajectory.hpp"
 
@@ -31,5 +33,14 @@ datasets::SampleSet small_trajectory(datasets::TrajectoryType type, int dim, ind
 /// A copy of `set` with every `stride`-th sample moved by `step` grid units
 /// in each dimension (wrapped into [0, m)): an in-place update_samples input.
 datasets::SampleSet moved_samples(const datasets::SampleSet& set, index_t stride, float step);
+
+/// One backend's Part-2 kernel, run as a single apply runs it (the SIMD
+/// kernels at slice-group width 1) on one grid of dimension `dim`. kAvx2
+/// requires avx2_available().
+enum class Part2 { kScalar, kSse, kAvx2 };
+void scatter1(Part2 kind, int dim, cfloat* grid, const std::array<index_t, 3>& strides,
+              const WindowBuf& wb, cfloat val);
+cfloat gather1(Part2 kind, int dim, const cfloat* grid, const std::array<index_t, 3>& strides,
+               const WindowBuf& wb);
 
 }  // namespace nufft::testing

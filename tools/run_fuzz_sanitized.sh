@@ -12,9 +12,11 @@
 # (`ctest -L concurrency`: engine workspace leases, batch-vs-single
 # equivalence), the observability suite (`ctest -L obs`: span/stat
 # invariants), the failure-path suite (`ctest -L faults`: the
-# privatization downgrade, engine retries) and the MRI suite (`ctest -L mri`:
+# privatization downgrade, engine retries), the MRI suite (`ctest -L mri`:
 # the Toeplitz kernel and apply, density compensation, CG and the
-# multichannel reconstruction) under AddressSanitizer and
+# multichannel reconstruction) and the kernel suite (`ctest -L kernels`: the
+# Part-2 convolution kernels' unaligned vector loads and stores, the FFTs and
+# BatchFft's zero-padded columns) under AddressSanitizer and
 # UndefinedBehaviorSanitizer, as CI does; pass `thread` to race-check the
 # preprocessing scatter/radix passes, concurrent engine applies, the
 # Toeplitz apply's pool-thread slab writes and the
@@ -53,11 +55,11 @@ for san in "${sanitizers[@]}"; do
     --target nufft_preproc_tests --target nufft_dispatch_tests \
     --target nufft_streaming_tests --target nufft_serve_tests --target nufft_chaos_tests \
     --target nufft_exec_tests --target nufft_obs_tests --target nufft_fault_tests \
-    --target nufft_mri_tests
-  labels='fuzz|accuracy|preproc|dispatch|streaming|serve|chaos|concurrency|obs|faults|mri'
+    --target nufft_mri_tests --target nufft_kernel_tests
+  labels='fuzz|accuracy|preproc|dispatch|streaming|serve|chaos|concurrency|obs|faults|mri|kernels'
   echo "=== ${san} sanitizer: ctest -L '${labels}' ==="
   (cd "${build}" && ctest -L "${labels}" --output-on-failure)
 done
 
 echo "All sanitized fuzz + accuracy + preproc + dispatch + streaming + serve + chaos +"
-echo "concurrency + obs + faults + mri runs passed."
+echo "concurrency + obs + faults + mri + kernels runs passed."
