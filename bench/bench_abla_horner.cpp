@@ -1,12 +1,13 @@
 // Ablation: Part 1 weight computation via the piecewise-polynomial Horner
 // evaluator versus the linear-interpolation LUT, for the ES kernel the
-// tolerance-driven planner pairs with Horner — plus the dispatch-registry
-// specializations of the same loop (core/conv_variants.hpp): the constexpr-W
-// scalar variant and the AVX2 row evaluator that computes the whole weight
-// row from one shared abscissa, 8 segments per instruction
-// (kernels/horner_avx2.cpp). The second half times the convolution sample
-// loop of a plan's constexpr-W variant against its runtime-W sibling on the
-// LUT and Horner configurations; results go to BENCH_abla_horner.json
+// tolerance-driven planner pairs with Horner. The Horner row is one
+// register-resident evaluator (kernels::horner_rows, kernels/horner.hpp) on
+// every backend; "Horner gen" reaches it through KernelHorner::eval_window
+// (the runtime-W route of compute_window), "Horner spec" inlines it at a
+// compile-time row count (the constexpr-W window_spec of the dispatch
+// variants, core/conv_variants.hpp). The second half times the convolution
+// sample loop of a plan's constexpr-W variant against its runtime-W sibling
+// on the LUT and Horner configurations; results go to BENCH_abla_horner.json
 // (window rows "w4".."w8", pipeline rows "<kernel>.d<dim>").
 //
 // This TU is deliberately compiled at the baseline ISA (see
@@ -19,7 +20,6 @@
 #include "common.hpp"
 #include "core/conv_variants.hpp"
 #include "core/convolution.hpp"
-#include "core/convolution_avx2.hpp"
 #include "kernels/es_kernel.hpp"
 #include "kernels/horner.hpp"
 #include "kernels/lut.hpp"
@@ -48,22 +48,21 @@ double time_window(const datasets::SampleSet& set, const Fn& fn) {
   });
 }
 
-template <int W2, bool AVX2ROW>
+template <int W2>
 double time_spec(const GridDesc& g, const WindowEval& ev, const datasets::SampleSet& set) {
   return time_window(set, [&](const float* coord, WindowBuf& wb) {
-    detail::window_spec<3, W2, true, AVX2ROW>(g, ev, coord, false, wb);
+    detail::window_spec<3, W2, true>(g, ev, coord, false, wb);
   });
 }
 
-template <bool AVX2ROW>
 double time_spec_for(int w2, const GridDesc& g, const WindowEval& ev,
                      const datasets::SampleSet& set) {
   switch (w2) {
-    case 4: return time_spec<4, AVX2ROW>(g, ev, set);
-    case 5: return time_spec<5, AVX2ROW>(g, ev, set);
-    case 6: return time_spec<6, AVX2ROW>(g, ev, set);
-    case 7: return time_spec<7, AVX2ROW>(g, ev, set);
-    default: return time_spec<8, AVX2ROW>(g, ev, set);
+    case 4: return time_spec<4>(g, ev, set);
+    case 5: return time_spec<5>(g, ev, set);
+    case 6: return time_spec<6>(g, ev, set);
+    case 7: return time_spec<7>(g, ev, set);
+    default: return time_spec<8>(g, ev, set);
   }
 }
 
@@ -74,11 +73,10 @@ int main() {
   const auto row = default_row_scaled();
   const auto set = make_set(datasets::TrajectoryType::kRandom, row);
   const GridDesc g = make_grid(3, row.n, 2.0);
-  const bool avx2 = avx2_available();
   BenchReport report("abla_horner");
 
-  std::printf("%-5s %6s %12s %12s %12s %12s %10s\n", "W", "degree", "LUT gen", "Horner gen",
-              "Horner spec", "Horner avx2", "avx2 gain");
+  std::printf("%-5s %6s %12s %12s %12s %10s %10s\n", "W", "degree", "LUT gen", "Horner gen",
+              "Horner spec", "spec gain", "vs LUT");
   for (int w2 = ConvDispatch::kMinWidth2; w2 <= ConvDispatch::kMaxWidth2; ++w2) {
     const double W = 0.5 * w2;
     const kernels::EsKernel es(W, 2.0);
@@ -95,21 +93,17 @@ int main() {
     const double t_horner = time_window(set, [&](const float* coord, WindowBuf& wb) {
       compute_window(g, horner_ev, coord, 3, false, wb);
     });
-    const double t_spec = time_spec_for<false>(w2, g, horner_ev, set);
-    const double t_avx2 = avx2 ? time_spec_for<true>(w2, g, horner_ev, set) : 0.0;
-    const double avx2_gain = avx2 ? t_horner / t_avx2 : 0.0;
-    std::printf("%-5.1f %6d %12.4f %12.4f %12.4f %12.4f %9.2fx\n", W, horner.degree(), t_lut,
-                t_horner, t_spec, t_avx2, avx2_gain);
+    const double t_spec = time_spec_for(w2, g, horner_ev, set);
+    std::printf("%-5.1f %6d %12.4f %12.4f %12.4f %9.2fx %9.2fx\n", W, horner.degree(), t_lut,
+                t_horner, t_spec, t_horner / t_spec, t_lut / t_spec);
     report.add("w" + std::to_string(w2),
                {{"W", W},
                 {"degree", static_cast<double>(horner.degree())},
                 {"lut_generic_s", t_lut},
                 {"horner_generic_s", t_horner},
                 {"horner_spec_s", t_spec},
-                {"horner_spec_avx2_s", t_avx2},
                 {"spec_gain", t_horner / t_spec},
-                {"avx2_row_gain", avx2_gain},
-                {"lut_vs_avx2_gain", avx2 ? t_lut / t_avx2 : 0.0}});
+                {"lut_vs_spec_gain", t_lut / t_spec}});
   }
 
   // The convolution sample loop: the plan key's constexpr-W variant versus

@@ -1,0 +1,159 @@
+// Output-hash probe: FNV-1a hashes of forward and adjoint outputs through
+// the apply driver, so two builds can be checked for bitwise-equal results
+// without keeping their outputs around.
+//
+//   $ ./build/examples/nufft_output_hashes > after.txt
+//   $ diff before.txt after.txt      # before.txt: the same tool, older tree
+//
+// One line per (backend, dim, kernel/evaluator, pool width) — {scalar, sse,
+// avx2} × d1–3 × {kb.lut, es.horner} × pool {1, 3} — with four hashes:
+// forward and adjoint of a single apply (nb = 1) and of an 8-slice apply
+// (nb = 8). The last line hashes every line above it. Rows for AVX2 print
+// "skipped" on CPUs without AVX2+FMA, so compare files from one host.
+//
+// The plans cover both Part-1 routes: KB/LUT at the default W = 4 and
+// ES/Horner at W = 2 (2-D) and 3 (3-D) bind constexpr-W variants, ES/Horner
+// at W = 4.5 (1-D) binds the runtime-W one. Every plan holds a few thousand
+// variable-density samples, so its tasks run several value blocks.
+#include <cstdint>
+#include <cstdio>
+#include <vector>
+
+#include "common/rng.hpp"
+#include "core/convolution_avx2.hpp"
+#include "core/nufft.hpp"
+#include "datasets/trajectory.hpp"
+#include "parallel/thread_pool.hpp"
+
+namespace {
+
+using namespace nufft;
+
+constexpr index_t kBatch = 8;
+
+/// FNV-1a over the bytes of `n` complex values, continuing from `h`.
+std::uint64_t fnv1a(const cfloat* v, index_t n, std::uint64_t h = 0xcbf29ce484222325ull) {
+  const auto* p = reinterpret_cast<const unsigned char*>(v);
+  for (std::size_t i = 0; i < static_cast<std::size_t>(n) * sizeof(cfloat); ++i) {
+    h ^= p[i];
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+cvecf random_values(index_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  cvecf v(static_cast<std::size_t>(n));
+  for (auto& x : v) {
+    x = cfloat(static_cast<float>(rng.uniform(-1, 1)), static_cast<float>(rng.uniform(-1, 1)));
+  }
+  return v;
+}
+
+struct Hashes {
+  std::uint64_t fwd1, adj1, fwd8, adj8;
+};
+
+/// Forward and adjoint of one plan at nb = 1 and nb = kBatch.
+Hashes run(const Nufft& plan, ThreadPool& pool) {
+  const index_t ni = plan.image_elems();
+  const index_t ns = plan.sample_count();
+  const cvecf images = random_values(kBatch * ni, 11);
+  const cvecf raws = random_values(kBatch * ns, 12);
+  cvecf fwd(static_cast<std::size_t>(kBatch * ns));
+  cvecf adj(static_cast<std::size_t>(kBatch * ni));
+  std::vector<const cfloat*> img_in(kBatch), raw_in(kBatch);
+  std::vector<cfloat*> fwd_out(kBatch), adj_out(kBatch);
+  for (index_t b = 0; b < kBatch; ++b) {
+    const auto u = static_cast<std::size_t>(b);
+    img_in[u] = images.data() + b * ni;
+    raw_in[u] = raws.data() + b * ns;
+    fwd_out[u] = fwd.data() + b * ns;
+    adj_out[u] = adj.data() + b * ni;
+  }
+
+  Hashes h{};
+  Workspace ws1 = plan.make_workspace(1);
+  plan.forward(img_in[0], fwd_out[0], ws1, pool);
+  h.fwd1 = fnv1a(fwd.data(), ns);
+  plan.adjoint(raw_in[0], adj_out[0], ws1, pool);
+  h.adj1 = fnv1a(adj.data(), ni);
+
+  Workspace ws8 = plan.make_workspace(kBatch);
+  plan.forward(img_in.data(), fwd_out.data(), kBatch, ws8, pool);
+  h.fwd8 = fnv1a(fwd.data(), kBatch * ns);
+  plan.adjoint(raw_in.data(), adj_out.data(), kBatch, ws8, pool);
+  h.adj8 = fnv1a(adj.data(), kBatch * ni);
+  return h;
+}
+
+datasets::SampleSet samples_for(int dim) {
+  datasets::TrajectoryParams p;
+  p.n = dim == 1 ? 512 : (dim == 2 ? 48 : 16);
+  p.k = 96;
+  p.s = 64;
+  p.seed = 77 + static_cast<std::uint64_t>(dim);
+  return datasets::make_trajectory(datasets::TrajectoryType::kRandom, dim, p);
+}
+
+struct Backend {
+  const char* name;
+  bool simd;
+  SimdIsa isa;
+};
+
+constexpr Backend kBackends[] = {
+    {"scalar", false, SimdIsa::kSse}, {"sse", true, SimdIsa::kSse}, {"avx2", true, SimdIsa::kAvx2}};
+
+PlanConfig config_for(const Backend& backend, int dim, bool horner, int threads) {
+  PlanConfig cfg;
+  cfg.threads = threads;
+  cfg.use_simd = backend.simd;
+  cfg.isa = backend.isa;
+  if (horner) {
+    cfg.kernel = kernels::KernelType::kEs;
+    cfg.eval = kernels::KernelEval::kHorner;
+    cfg.kernel_radius = dim == 1 ? 4.5 : (dim == 2 ? 2.0 : 3.0);
+  }
+  return cfg;
+}
+
+}  // namespace
+
+int main() {
+  std::uint64_t all = 0xcbf29ce484222325ull;
+  for (const Backend& backend : kBackends) {
+    for (int dim = 1; dim <= 3; ++dim) {
+      const datasets::SampleSet set = samples_for(dim);
+      const GridDesc g = make_grid(dim, set.m / 2, 2.0);
+      for (const bool horner : {false, true}) {
+        for (const int threads : {1, 3}) {
+          std::printf("%-6s d%d %-9s pool%d ", backend.name, dim,
+                      horner ? "es.horner" : "kb.lut", threads);
+          if (backend.isa == SimdIsa::kAvx2 && !avx2_available()) {
+            std::printf("skipped\n");
+            continue;
+          }
+          const Nufft plan(g, set, config_for(backend, dim, horner, threads));
+          ThreadPool pool(threads);
+          const Hashes h = run(plan, pool);
+          std::printf("fwd1=%016llx adj1=%016llx fwd8=%016llx adj8=%016llx %s\n",
+                      static_cast<unsigned long long>(h.fwd1),
+                      static_cast<unsigned long long>(h.adj1),
+                      static_cast<unsigned long long>(h.fwd8),
+                      static_cast<unsigned long long>(h.adj8),
+                      plan.plan_stats().conv_variant.c_str());
+          const std::uint64_t line[4] = {h.fwd1, h.adj1, h.fwd8, h.adj8};
+          for (const std::uint64_t x : line) {
+            for (int i = 0; i < 8; ++i) {
+              all ^= (x >> (8 * i)) & 0xffu;
+              all *= 0x100000001b3ull;
+            }
+          }
+        }
+      }
+    }
+  }
+  std::printf("all    %016llx\n", static_cast<unsigned long long>(all));
+  return 0;
+}

@@ -13,17 +13,19 @@
 //      its runtime-W instantiation as well.
 //   2. Every TU including this header is compiled at the baseline ISA. On a
 //      TU built with -mavx2 -mfma the compiler may contract the a·b+c shapes
-//      in the window/weight arithmetic into FMA, which changes rounding.
-//      AVX2 work is reached only through *extern* functions that were
-//      themselves audited for lane-exactness: the Part-2 kernels of
-//      core/batch_conv_avx2.cpp, and kernels::eval_window_avx2 (explicit
-//      mul+add intrinsics, never fmadd — see kernels/horner_avx2.cpp).
+//      in the window/weight arithmetic (the Horner row's multiply-then-add
+//      included) into FMA, which changes rounding. AVX2 work is reached only
+//      through the *extern* Part-2 kernels of core/batch_conv_avx2.cpp,
+//      which were themselves audited for lane-exactness; Part 1 has no AVX2
+//      code — every backend runs the one SSE Horner row (kernels/horner.hpp).
 //
 // Batch width: nb picks no kernel, only the slice-group width G of the
 // backend's one Part-2 kernel family (core/batch_conv.hpp; scalar plans run
 // adj_scatter_scalar / fwd_gather_scalar per slab). A single apply runs
 // G = 1 per sample; a batch stages the windows of kSampleBlock samples once
-// and sweeps them over kSlabGroup slabs at a time. Every slice runs the same
+// and sweeps them over kSlabGroup slabs at a time. At either width the
+// sample values move between caller order and plan order in blocks (see
+// spread_loop), which changes no arithmetic. Every slice runs the same
 // arithmetic at either width, so slice b of an nb-slice call equals the
 // nb = 1 call on slice b's data bitwise.
 //
@@ -31,8 +33,8 @@
 // trim folds against a constant and the per-sample window loops get fixed
 // trip counts; compile-time dim/evaluator/backend remove the per-element
 // evaluator branch and the per-sample backend switch in every variant, and
-// the AVX2+Horner combination evaluates the whole weight row 8 segments per
-// instruction instead of riding the scalar recurrence.
+// a Horner variant inlines the register-resident row at its compile-time
+// row count instead of calling KernelHorner::eval_window's stride switch.
 #pragma once
 
 #include <algorithm>
@@ -53,6 +55,16 @@ namespace nufft::detail {
 // several slices.
 inline constexpr index_t kSampleBlock = 32;
 
+/// Samples per value block of a single apply (G = 1), see spread_loop. The
+/// size barely matters once the misses overlap: single-threaded at the
+/// stream2d_frames shape (2-D ES W = 2, 524k samples, SSE; min over 6
+/// interleaved runs of 7 reps, on a host that drifts by up to 2×) the
+/// spread took 32.7 ms at 256, 32.9 at 64 and 35.7 at 1024, and the interp
+/// 37.4, 40.5 and 43.1 ms. A batch blocks its values by kSampleBlock; moving
+/// them into tight loops there measured flat at the mri_cg3d shape (nb = 8
+/// KB W = 4: spread 103.2 → 102.8 ms, interp median 93.5 → 93.8 ms).
+inline constexpr index_t kValueBlock = 256;
+
 /// Part 1 for reordered sample i of the range, with the backend's weight
 /// duplication (SIMD Part 2) and row evaluator.
 template <ConvBackend B, int DIM, int W2, bool HORNER>
@@ -61,8 +73,7 @@ template <ConvBackend B, int DIM, int W2, bool HORNER>
   for (int d = 0; d < DIM; ++d) {
     coord[d] = a.coords[static_cast<std::size_t>(d)][static_cast<std::size_t>(i)];
   }
-  window_spec<DIM, W2, HORNER, B == ConvBackend::kAvx2 && HORNER>(
-      *a.g, a.ev, coord, B != ConvBackend::kScalar, wb);
+  window_spec<DIM, W2, HORNER>(*a.g, a.ev, coord, B != ConvBackend::kScalar, wb);
 }
 
 /// Rebase neighbour indices into a privatized task's box; the box covers the
@@ -112,35 +123,53 @@ template <ConvBackend B, int DIM, int G>
   }
 }
 
-/// The sample loop at slice-group width G: stage the windows of a block of
-/// samples, then run each group of G slices through the block. A batch
-/// (G = kSlabGroup) stages kSampleBlock samples so one Part 1 serves every
-/// group. A single apply (G = 1) has one group and nothing to amortize, so
-/// its block is one sample. Measured single-threaded on the bench_layers
-/// shapes (SSE, min of 50), staging 32 samples at G = 1 made the 2-D
-/// ES W = 2 spread and interp 13–16 % slower and the 3-D ES W = 3 spread 9 %
-/// slower (its interp moved −3 %).
+/// The sample loop at slice-group width G. It runs in value blocks: one
+/// tight loop moves a block's sample values between caller order
+/// (raws[b][orig_index[i]], outs[b][orig_index[i]]) and a plan-order stack
+/// buffer — before Part 1 and Part 2 in the spread, after them in the
+/// interp. Caller order is a random walk through memory, so at large sample
+/// counts each value access misses cache; issued back to back, a block's
+/// misses overlap instead of each one stalling its own sample's window.
+/// Inside a value block the windows of kWindows samples are staged at once,
+/// then each group of G slices runs through them.
+///
+/// A single apply (G = 1) has one group and nothing to amortize, so it
+/// stages no windows (kWindows = 1), only values. The two differ in size:
+/// measured single-threaded on the bench_layers shapes (SSE, min of 50),
+/// staging the windows of 32 samples at G = 1 made the 2-D ES W = 2 spread
+/// and interp 13–16 % slower and the 3-D ES W = 3 spread 9 % slower (a
+/// WindowBuf is about 1 KB, so 32 of them fill L1), while a value is 8 bytes
+/// per sample and slice and a block of kValueBlock stays in L1.
+/// A batch (G = kSlabGroup) stages kSampleBlock samples, windows and values,
+/// so one Part 1 serves every group.
 template <ConvBackend B, int DIM, int W2, bool HORNER, int G>
 [[gnu::noinline]] void spread_loop(const ConvRange& a, const cfloat* const* raws, index_t nb,
                                    cfloat* dst, std::size_t slab_stride,
                                    const std::array<index_t, 3>& strides) {
-  constexpr index_t kBlock = G == 1 ? 1 : kSampleBlock;
+  constexpr index_t kBlock = G == 1 ? kValueBlock : kSampleBlock;
+  constexpr index_t kWindows = G == 1 ? 1 : kSampleBlock;
   constexpr index_t kSlices = G == 1 ? 1 : kMaxBatch;
-  WindowBuf wbs[kBlock];
+  WindowBuf wbs[kWindows];
   cfloat vals[kBlock * kSlices];
   for (index_t s0 = a.begin; s0 < a.end; s0 += kBlock) {
     const index_t sb = std::min<index_t>(kBlock, a.end - s0);
-    for (index_t i = 0; i < sb; ++i) {
-      sample_window<B, DIM, W2, HORNER>(a, s0 + i, wbs[i]);
-      if (a.box_lo != nullptr) rebase_box<DIM>(a.box_lo, wbs[i]);
-      const index_t oi = a.orig_index[static_cast<std::size_t>(s0 + i)];
-      for (index_t b = 0; b < nb; ++b) vals[i * kSlices + b] = raws[b][oi];
+    const index_t* oi = a.orig_index + s0;
+    for (index_t b = 0; b < nb; ++b) {
+      for (index_t i = 0; i < sb; ++i) vals[i * kSlices + b] = raws[b][oi[i]];
     }
-    for (index_t b0 = 0; b0 < nb; b0 += G) {
-      const index_t gnb = std::min<index_t>(G, nb - b0);
-      cfloat* group = dst + static_cast<std::size_t>(b0) * slab_stride;
-      for (index_t i = 0; i < sb; ++i) {
-        scatter<B, DIM, G>(group, slab_stride, gnb, strides, wbs[i], vals + i * kSlices + b0);
+    for (index_t w0 = 0; w0 < sb; w0 += kWindows) {
+      const index_t wn = std::min<index_t>(kWindows, sb - w0);
+      for (index_t i = 0; i < wn; ++i) {
+        sample_window<B, DIM, W2, HORNER>(a, s0 + w0 + i, wbs[i]);
+        if (a.box_lo != nullptr) rebase_box<DIM>(a.box_lo, wbs[i]);
+      }
+      for (index_t b0 = 0; b0 < nb; b0 += G) {
+        const index_t gnb = std::min<index_t>(G, nb - b0);
+        cfloat* group = dst + static_cast<std::size_t>(b0) * slab_stride;
+        for (index_t i = 0; i < wn; ++i) {
+          scatter<B, DIM, G>(group, slab_stride, gnb, strides, wbs[i],
+                             vals + (w0 + i) * kSlices + b0);
+        }
       }
     }
   }
@@ -151,23 +180,28 @@ template <ConvBackend B, int DIM, int W2, bool HORNER, int G>
                                    std::size_t slab_stride,
                                    const std::array<index_t, 3>& strides, cfloat* const* outs,
                                    index_t nb) {
-  constexpr index_t kBlock = G == 1 ? 1 : kSampleBlock;
-  WindowBuf wbs[kBlock];
-  index_t ois[kBlock];
-  cfloat vals[G];
+  constexpr index_t kBlock = G == 1 ? kValueBlock : kSampleBlock;
+  constexpr index_t kWindows = G == 1 ? 1 : kSampleBlock;
+  constexpr index_t kSlices = G == 1 ? 1 : kMaxBatch;
+  WindowBuf wbs[kWindows];
+  cfloat vals[kBlock * kSlices];
   for (index_t s0 = a.begin; s0 < a.end; s0 += kBlock) {
     const index_t sb = std::min<index_t>(kBlock, a.end - s0);
-    for (index_t i = 0; i < sb; ++i) {
-      sample_window<B, DIM, W2, HORNER>(a, s0 + i, wbs[i]);
-      ois[i] = a.orig_index[static_cast<std::size_t>(s0 + i)];
-    }
-    for (index_t b0 = 0; b0 < nb; b0 += G) {
-      const index_t gnb = std::min<index_t>(G, nb - b0);
-      const cfloat* group = grid + static_cast<std::size_t>(b0) * slab_stride;
-      for (index_t i = 0; i < sb; ++i) {
-        gather<B, DIM, G>(group, slab_stride, gnb, strides, wbs[i], vals);
-        for (index_t b = 0; b < gnb; ++b) outs[b0 + b][ois[i]] = vals[b];
+    for (index_t w0 = 0; w0 < sb; w0 += kWindows) {
+      const index_t wn = std::min<index_t>(kWindows, sb - w0);
+      for (index_t i = 0; i < wn; ++i) sample_window<B, DIM, W2, HORNER>(a, s0 + w0 + i, wbs[i]);
+      for (index_t b0 = 0; b0 < nb; b0 += G) {
+        const index_t gnb = std::min<index_t>(G, nb - b0);
+        const cfloat* group = grid + static_cast<std::size_t>(b0) * slab_stride;
+        for (index_t i = 0; i < wn; ++i) {
+          gather<B, DIM, G>(group, slab_stride, gnb, strides, wbs[i],
+                            vals + (w0 + i) * kSlices + b0);
+        }
       }
+    }
+    const index_t* oi = a.orig_index + s0;
+    for (index_t b = 0; b < nb; ++b) {
+      for (index_t i = 0; i < sb; ++i) outs[b][oi[i]] = vals[i * kSlices + b];
     }
   }
 }

@@ -1,10 +1,10 @@
 // AVX2-backend variant instantiations. This TU is deliberately compiled at
-// the BASELINE ISA: the Part-1 window arithmetic here must round exactly like
-// compute_window and the other backends (see the FP-contraction note in
-// conv_variants.hpp), and all AVX2 execution is reached through extern
-// functions from TUs that carry -mavx2 themselves (core/batch_conv_avx2.cpp
-// for Part 2, at slice-group width 1 or kSlabGroup, and
-// kernels/horner_avx2.cpp for the Horner row evaluation). The registry only
+// the BASELINE ISA: the Part-1 window arithmetic here, the Horner row
+// included, must round exactly like compute_window and the other backends
+// (see the FP-contraction note in conv_variants.hpp), so Part 1 runs the
+// same SSE code as the SSE backend. All AVX2 execution is Part 2, reached
+// through the extern kernels of core/batch_conv_avx2.cpp (which carries
+// -mavx2 itself) at slice-group width 1 or kSlabGroup. The registry only
 // hands out these variants when the plan resolved to the AVX2 conv mode,
 // which implies avx2_available().
 #include "core/conv_variants.hpp"

@@ -32,13 +32,13 @@ void window_runtime_w(const GridDesc& g, const WindowEval& ev, const float* coor
                       bool fill_dup, WindowBuf& wb) {
   switch (dim) {
     case 1:
-      detail::window_spec<1, 0, HORNER, false>(g, ev, coord, fill_dup, wb);
+      detail::window_spec<1, 0, HORNER>(g, ev, coord, fill_dup, wb);
       return;
     case 2:
-      detail::window_spec<2, 0, HORNER, false>(g, ev, coord, fill_dup, wb);
+      detail::window_spec<2, 0, HORNER>(g, ev, coord, fill_dup, wb);
       return;
     case 3:
-      detail::window_spec<3, 0, HORNER, false>(g, ev, coord, fill_dup, wb);
+      detail::window_spec<3, 0, HORNER>(g, ev, coord, fill_dup, wb);
       return;
     default:
       throw Error("unsupported dimension");

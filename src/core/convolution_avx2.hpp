@@ -1,6 +1,6 @@
 // Runtime gate of the AVX2+FMA kernels (the paper's wider-SIMD extension):
-// the Part-2 kernels of core/batch_conv_avx2.cpp, the FFT stages of
-// core/batch_fft_avx2.cpp and the Horner row evaluator. Query
+// the Part-2 kernels of core/batch_conv_avx2.cpp and the FFT stages of
+// core/batch_fft_avx2.cpp. Query
 // avx2_available() before dispatching to any of them; calling them on an
 // older CPU is undefined (SIGILL).
 #pragma once

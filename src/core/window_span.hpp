@@ -9,8 +9,11 @@
 // float-rounding trim below is exactly the hazard that diverges first when
 // the expression is re-derived instead of shared. Keep this header free of
 // anything that could be compiled differently across translation units (no
-// FMA-shaped a*b+c arithmetic, no ISA-specific code) — every including TU is
-// built at the baseline ISA.
+// ISA-specific code) — every including TU is built at the baseline ISA, so
+// the a·b+c shapes here and in the Horner row (kernels/horner.hpp, one
+// SSE multiply then one add per degree step) never contract into FMA. Both
+// window routes, a constexpr W's inlined horner_rows and a runtime W's
+// KernelHorner::eval_window, run that same row.
 #pragma once
 
 #include <algorithm>
@@ -69,14 +72,16 @@ namespace detail {
 
 /// Part 1 for one sample with compile-time dim and evaluator. W2 = 2W folds
 /// the width into a constant; W2 = 0 reads W from the evaluator at run time
-/// (the runtime-W variants and compute_window). `AVX2ROW` routes the Horner
-/// row evaluation through the AVX2 evaluator (only set for the AVX2 backend,
-/// whose availability the plan already verified). Always inlined: each
+/// (the runtime-W variants and compute_window). The Horner row is the one
+/// register-resident evaluator on every backend (kernels/horner.hpp): a
+/// constexpr W inlines it at its compile-time row count, a runtime W
+/// reaches it through KernelHorner::eval_window. Always inlined: each
 /// variant instantiates it at several call sites, and a call per sample
 /// costs the small-W loops measurably.
-template <int DIM, int W2, bool HORNER, bool AVX2ROW>
-[[gnu::always_inline]] inline void window_spec(const GridDesc& g, const WindowEval& ev, const float* coord,
-                        bool fill_dup, WindowBuf& wb) {
+template <int DIM, int W2, bool HORNER>
+[[gnu::always_inline]] inline void window_spec(const GridDesc& g, const WindowEval& ev,
+                                               const float* coord, bool fill_dup,
+                                               WindowBuf& wb) {
   // Exact for half-integer widths, so both branches yield the same float.
   const float W = W2 != 0 ? static_cast<float>(W2) * 0.5f : ev.radius();
   for (int d = 0; d < DIM; ++d) {
@@ -98,8 +103,9 @@ template <int DIM, int W2, bool HORNER, bool AVX2ROW>
       // Shared abscissa z = x1 − k + W ∈ [0, 1]; one row evaluation covers
       // the whole window (see kernels/horner.hpp).
       const float z = static_cast<float>(sp.x1) - k + W;
-      if constexpr (AVX2ROW) {
-        kernels::eval_window_avx2(*ev.horner, z, sp.len, wb.win[d]);
+      if constexpr (W2 != 0) {
+        constexpr int kRowVectors = kernels::KernelHorner::stride_for(W2) / 4;
+        kernels::horner_rows<kRowVectors>(*ev.horner, z, sp.len, wb.win[d]);
       } else {
         ev.horner->eval_window(z, sp.len, wb.win[d]);
       }

@@ -20,12 +20,13 @@ KernelHorner::KernelHorner(const Kernel1d& kernel, int degree) {
                   "Horner segments require 2*radius to be an integer so segment "
                   "boundaries align with the support edge");
   radius_ = static_cast<float>(W);
-  nseg_ = 2 * static_cast<int>(std::ceil(W)) + 1;
-  // Pad the segment stride to a multiple of 8 so vector evaluators can read
-  // whole coefficient rows in 8-float chunks. The padded entries stay zero
-  // and only ever feed lanes past `len`, which eval_window discards —
-  // numerically the padding is invisible.
-  stride_ = (nseg_ + 7) & ~7;
+  // Pad the segment stride to a multiple of 8 so horner_rows reads whole
+  // coefficient rows in 4-float vectors from one of four instantiations.
+  // The padded entries stay zero and only ever feed lanes past `len`, which
+  // the evaluator discards — numerically the padding is invisible.
+  const int w2 = static_cast<int>(2.0 * W);
+  nseg_ = segments_for(w2);
+  stride_ = stride_for(w2);
   NUFFT_CHECK_MSG(stride_ <= kMaxStride, "kernel too wide for Horner evaluation");
   // Degree scales with width like FINUFFT's (full-width + 3) rule, with a
   // small margin since the fit is stored in float; capped where float
@@ -90,16 +91,17 @@ KernelHorner::KernelHorner(const Kernel1d& kernel, int degree) {
 }
 
 void KernelHorner::eval_window(float z, int len, float* out) const {
-  z = z < 0.0f ? 0.0f : (z > 1.0f ? 1.0f : z);
-  const float t = 2.0f * z - 1.0f;
-  float acc[kMaxStride];
-  const float* c = coef_.data();
-  for (int i = 0; i < stride_; ++i) acc[i] = c[i];
-  for (int k = 1; k <= degree_; ++k) {
-    const float* row = c + static_cast<std::size_t>(k) * static_cast<std::size_t>(stride_);
-    for (int i = 0; i < stride_; ++i) acc[i] = acc[i] * t + row[i];
+  NUFFT_DASSERT(0 <= len && len <= segments());
+  switch (stride_) {
+    case 8:
+      return horner_rows<2>(*this, z, len, out);
+    case 16:
+      return horner_rows<4>(*this, z, len, out);
+    case 24:
+      return horner_rows<6>(*this, z, len, out);
+    default:
+      return horner_rows<8>(*this, z, len, out);
   }
-  for (int i = 0; i < len; ++i) out[i] = acc[i];
 }
 
 float KernelHorner::operator()(float d) const {

@@ -11,9 +11,11 @@
 // sibling — and compare spread (direct and privatized-box), interp, and the
 // nb = 8 batched entry bitwise. The same idiom checks the batch-width
 // contract: slice b of every variant's nb = 8 call equals its nb = 1 call on
-// slice b's data, bitwise. The remaining tests pin the registry shape,
-// the runtime-W binding of uncovered widths, and that the plan-time
-// selection is observable (PlanStats + the obs counter).
+// slice b's data, bitwise. A third body runs each variant over sub-ranges
+// of one long task that end at every edge of the sample loop's value
+// blocks, against a per-sample loop written here. The remaining tests pin
+// the registry shape, the runtime-W binding of uncovered widths, and that
+// the plan-time selection is observable (PlanStats + the obs counter).
 //
 // Variants are driven directly over the plan's tasks, serially and in task
 // order, so the comparison sees no scheduling effects.
@@ -25,7 +27,9 @@
 #include <string>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "core/conv_dispatch.hpp"
+#include "core/conv_variants.hpp"
 #include "core/convolution_avx2.hpp"
 #include "core/grid.hpp"
 #include "core/nufft.hpp"
@@ -132,6 +136,29 @@ SampleSet clustered_samples(int dim, index_t m, index_t count) {
       float v = mf - 1.5f + h;  // [m − 1.5, m + 1.5) before wrap
       if (v >= mf) v -= mf;
       c[static_cast<std::size_t>(i)] = v;
+    }
+  }
+  return set;
+}
+
+/// A tight blob in the middle of the first of two fixed partitions per
+/// dimension, in random caller order: one task holds every sample, and a
+/// lowered privatization threshold makes it box-local.
+SampleSet blob_samples(int dim, index_t m, index_t count, std::uint64_t seed) {
+  SampleSet set;
+  set.dim = dim;
+  set.m = m;
+  set.k = count;
+  set.s = 1;
+  Rng rng(seed);
+  const double center = static_cast<double>(m) / 4.0;
+  for (int d = 0; d < dim; ++d) {
+    set.coords[static_cast<std::size_t>(d)].resize(static_cast<std::size_t>(count));
+  }
+  for (index_t i = 0; i < count; ++i) {
+    for (int d = 0; d < dim; ++d) {
+      set.coords[static_cast<std::size_t>(d)][static_cast<std::size_t>(i)] =
+          static_cast<float>(center + rng.uniform(-1.5, 1.5));
     }
   }
   return set;
@@ -313,30 +340,6 @@ TEST(ConvDispatchRegistry, Width2RecognizesOnlyCalibratedHalfIntegerWidths) {
   EXPECT_EQ(conv_width2(0.0), 0);
 }
 
-// ---- the AVX2 Horner row evaluator ---------------------------------------
-
-TEST(HornerAvx2, LaneExactWithScalarRecurrence) {
-  if (!avx2_available()) GTEST_SKIP() << "no AVX2+FMA on this CPU";
-  for (const double W : {1.5, 2.0, 2.5, 3.0, 4.0, 4.5}) {
-    const kernels::EsKernel es(W, 2.0);
-    const kernels::KernelHorner h(es);
-    ASSERT_EQ(h.stride() % 8, 0) << "AVX2 row evaluation needs 8-float rows";
-    const int len = h.segments();
-    float ref[kernels::KernelHorner::kMaxStride];
-    float got[kernels::KernelHorner::kMaxStride];
-    for (int s = 0; s <= 64; ++s) {
-      const float z = static_cast<float>(s) / 64.0f;
-      h.eval_window(z, len, ref);
-      kernels::eval_window_avx2(h, z, len, got);
-      for (int i = 0; i < len; ++i) {
-        ASSERT_EQ(std::memcmp(&ref[i], &got[i], sizeof(float)), 0)
-            << "W=" << W << " z=" << z << " lane " << i
-            << ": scalar=" << ref[i] << " avx2=" << got[i];
-      }
-    }
-  }
-}
-
 // ---- the bit-match matrix -------------------------------------------------
 
 TEST_EACH_VARIANT(ConvDispatchBitMatch, EveryVariantMatchesRuntimeWidthOnRandomPlans) {
@@ -392,6 +395,138 @@ TEST_EACH_VARIANT(ConvDispatchBatchWidth, SlicesEqualSingleSliceCallsBitwise) {
   for (const ConvVariant* v : {&fixed, &runtime}) {
     expect_slices_equal_singles(*v, g, random, cfg_for(fixed.key));
     expect_slices_equal_singles(*v, g, clustered, clustered_cfg);
+  }
+}
+
+// ---- value blocks ----------------------------------------------------------
+
+testing::Part2 part2_of(ConvBackend b) {
+  switch (b) {
+    case ConvBackend::kScalar: return testing::Part2::kScalar;
+    case ConvBackend::kSse: return testing::Part2::kSse;
+    case ConvBackend::kAvx2: break;
+  }
+  return testing::Part2::kAvx2;
+}
+
+/// Part 1 of reordered sample i as a loop without value blocks computes it:
+/// compute_window, rebased into the task's box for a box-local range.
+WindowBuf window_of(const ConvRange& r, ConvBackend backend, index_t i) {
+  const int dim = r.g->dim;
+  float coord[3];
+  for (int d = 0; d < dim; ++d) {
+    coord[d] = r.coords[static_cast<std::size_t>(d)][static_cast<std::size_t>(i)];
+  }
+  WindowBuf wb;
+  compute_window(*r.g, r.ev, coord, dim, backend != ConvBackend::kScalar, wb);
+  if (r.box_lo != nullptr) {
+    for (int d = 0; d < dim; ++d) {
+      for (int t = 0; t < wb.len[d]; ++t) wb.idx[d][t] = wb.start[d] + t - r.box_lo[d];
+    }
+    wb.inner_contiguous = true;
+  }
+  return wb;
+}
+
+/// The spread without value blocks: per sample, its window, then the
+/// backend's width-1 Part-2 kernel on each slice, with the value read
+/// through orig_index.
+void per_sample_spread(const ConvRange& r, ConvBackend backend, const cfloat* const* raws,
+                       index_t nb, cfloat* slabs, std::size_t slab_stride,
+                       const std::array<index_t, 3>& strides) {
+  for (index_t i = r.begin; i < r.end; ++i) {
+    const WindowBuf wb = window_of(r, backend, i);
+    const index_t oi = r.orig_index[static_cast<std::size_t>(i)];
+    for (index_t b = 0; b < nb; ++b) {
+      testing::scatter1(part2_of(backend), r.g->dim,
+                        slabs + static_cast<std::size_t>(b) * slab_stride, strides, wb,
+                        raws[b][oi]);
+    }
+  }
+}
+
+/// The interp without value blocks, writing through orig_index.
+void per_sample_interp(const ConvRange& r, ConvBackend backend, const cfloat* slabs,
+                       std::size_t slab_stride, const std::array<index_t, 3>& strides,
+                       cfloat* const* outs, index_t nb) {
+  for (index_t i = r.begin; i < r.end; ++i) {
+    const WindowBuf wb = window_of(r, backend, i);
+    const index_t oi = r.orig_index[static_cast<std::size_t>(i)];
+    for (index_t b = 0; b < nb; ++b) {
+      outs[b][oi] = testing::gather1(part2_of(backend), r.g->dim,
+                                     slabs + static_cast<std::size_t>(b) * slab_stride, strides,
+                                     wb);
+    }
+  }
+}
+
+TEST_EACH_VARIANT(ConvDispatchValueBlocks, BlockEdgesMatchPerSampleLoopBitwise) {
+  // The sample loop moves values between caller order and a plan-order
+  // buffer in blocks (kValueBlock samples at nb = 1, kSampleBlock in a
+  // batch). Sub-ranges of one task that stop short of, at and just past a
+  // block edge, and one that ends in a partial block after three full ones,
+  // must equal the per-sample loop bitwise: direct and box-local spread and
+  // interp, at nb = 1 and at a batch with a partial slice group.
+  constexpr index_t kB = detail::kValueBlock;
+  constexpr index_t kLongest = 3 * kB + 5;
+  constexpr index_t kWide = kSlabGroup + 3;
+  const int dim = fixed.key.dim;
+  const GridDesc g = make_grid(dim, image_n_for(dim), 2.0);
+  PlanConfig cfg = cfg_for(fixed.key);
+  cfg.threads = 2;
+  cfg.partitions_per_dim = 2;
+  cfg.variable_partitions = false;
+  cfg.privatization_factor = 0.25;
+  const Nufft plan(g, blob_samples(dim, g.m[0], kLongest + 16, 61 + dim), cfg);
+  const Preprocessed& pp = plan.plan();
+  const auto longest = std::max_element(
+      pp.tasks.begin(), pp.tasks.end(),
+      [](const ConvTask& x, const ConvTask& y) { return x.count() < y.count(); });
+  const ConvTask& task = *longest;
+  ASSERT_GE(task.count(), kLongest);
+  ASSERT_TRUE(pp.privatized[static_cast<std::size_t>(longest - pp.tasks.begin())]);
+  const auto first = pp.orig_index.begin() + task.begin;
+  ASSERT_FALSE(std::is_sorted(first, first + kLongest)) << "caller order is not shuffled";
+
+  const index_t count = plan.sample_count();
+  const auto gsize = static_cast<std::size_t>(g.grid_elems());
+  const cvecf raws = testing::random_raw(kWide * count, 71);
+  const cvecf grids = testing::random_image(kWide * g.grid_elems(), 72);
+  std::vector<const cfloat*> in(kWide);
+  for (index_t b = 0; b < kWide; ++b) in[static_cast<std::size_t>(b)] = raws.data() + b * count;
+
+  for (const ConvVariant* v : {&fixed, &runtime}) {
+    for (const index_t nb : {index_t{1}, kWide}) {
+      for (const index_t len : {index_t{0}, index_t{1}, kB - 1, kB, kB + 1, kLongest}) {
+        const std::string where =
+            v->name + " nb=" + std::to_string(nb) + " len=" + std::to_string(len);
+        for (const bool box : {false, true}) {
+          ConvRange r = plan.conv_range(task, box);
+          r.end = r.begin + len;
+          const auto slab = box ? static_cast<std::size_t>(task.box_elems(dim)) : gsize;
+          const auto st = box ? task.box_strides(dim) : g.grid_strides();
+          cvecf got(static_cast<std::size_t>(nb) * slab, cfloat(0.0f, 0.0f));
+          cvecf want(got.size(), cfloat(0.0f, 0.0f));
+          v->spread(r, in.data(), nb, got.data(), slab, st);
+          per_sample_spread(r, v->key.backend, in.data(), nb, want.data(), slab, st);
+          expect_bitwise_equal(got, want, where + (box ? " box-local spread" : " spread"));
+        }
+        ConvRange r = plan.conv_range(task, false);
+        r.end = r.begin + len;
+        cvecf got(static_cast<std::size_t>(nb * count), cfloat(0.0f, 0.0f));
+        cvecf want(got.size(), cfloat(0.0f, 0.0f));
+        std::vector<cfloat*> got_out(static_cast<std::size_t>(nb));
+        std::vector<cfloat*> want_out(got_out.size());
+        for (index_t b = 0; b < nb; ++b) {
+          got_out[static_cast<std::size_t>(b)] = got.data() + b * count;
+          want_out[static_cast<std::size_t>(b)] = want.data() + b * count;
+        }
+        v->interp(r, grids.data(), gsize, g.grid_strides(), got_out.data(), nb);
+        per_sample_interp(r, v->key.backend, grids.data(), gsize, g.grid_strides(),
+                          want_out.data(), nb);
+        expect_bitwise_equal(got, want, where + " interp");
+      }
+    }
   }
 }
 

@@ -1,14 +1,21 @@
-// Tests for the interpolation kernels, Bessel I0, LUT, and rolloff maps.
+// Tests for the interpolation kernels, Bessel I0, LUT, the Horner fits and
+// their one row evaluator, the tolerance table, and rolloff maps.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <iterator>
+#include <set>
 #include <utility>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/types.hpp"
+#include "core/grid.hpp"
 #include "core/preprocess.hpp"
 #include "core/tolerance.hpp"
+#include "core/window_span.hpp"
 #include "kernels/bessel.hpp"
 #include "kernels/es_kernel.hpp"
 #include "kernels/gaussian.hpp"
@@ -283,6 +290,97 @@ TEST(Horner, ZeroOutsideSupport) {
   const KernelHorner h(es);
   EXPECT_EQ(h(2.5f), 0.0f);
   EXPECT_EQ(h(-9.0f), 0.0f);
+}
+
+/// Segment i of the plain float recurrence: acc = c₀, then acc·t + c_k per
+/// degree step, a multiply and then an add (this TU is built at the baseline
+/// ISA, so the pair never fuses into FMA).
+float scalar_recurrence(const KernelHorner& h, float z, int i) {
+  z = z < 0.0f ? 0.0f : (z > 1.0f ? 1.0f : z);
+  const float t = 2.0f * z - 1.0f;
+  const float* c = h.coefficients();
+  const auto stride = static_cast<std::size_t>(h.stride());
+  float acc = c[i];
+  for (int k = 1; k <= h.degree(); ++k) {
+    const float p = acc * t;
+    acc = p + c[static_cast<std::size_t>(k) * stride + static_cast<std::size_t>(i)];
+  }
+  return acc;
+}
+
+bool same_bits(float a, float b) { return std::memcmp(&a, &b, sizeof(float)) == 0; }
+
+/// The constexpr-W window template's Horner rows on a 1-D grid, at
+/// coordinates whose shared abscissa z walks a 1/64 grid.
+template <int W2>
+void expect_window_spec_rows(int degree) {
+  const float W = static_cast<float>(W2) * 0.5f;
+  const EsKernel es(W, 2.0);
+  const KernelHorner h(es, degree);
+  const GridDesc g = make_grid(1, 64, 2.0);
+  WindowEval ev;
+  ev.horner = &h;
+  for (int j = 0; j < 64; ++j) {
+    const float k = 40.0f + static_cast<float>(j) / 64.0f;
+    WindowBuf wb;
+    detail::window_spec<1, W2, true>(g, ev, &k, false, wb);
+    const WindowSpan sp = window_span(k, W);
+    const float z = static_cast<float>(sp.x1) - k + W;
+    ASSERT_EQ(wb.len[0], sp.len);
+    for (int i = 0; i < sp.len; ++i) {
+      ASSERT_TRUE(same_bits(wb.win[0][i], scalar_recurrence(h, z, i)))
+          << "W2=" << W2 << " degree=" << h.degree() << " k=" << k << " i=" << i;
+    }
+  }
+}
+
+TEST(Horner, RowsMatchScalarRecurrenceBitwise) {
+  // The one register-resident row evaluator (horner_rows), through both of
+  // its routes — KernelHorner::eval_window (runtime W) and the constexpr-W
+  // window_spec of the dispatch variants — equals the scalar recurrence
+  // bitwise: every z on a 1/64 grid plus the two clamps, every len, and no
+  // write past len.
+  std::set<int> strides;
+  std::vector<float> zs{-0.25f, 1.25f};
+  for (int j = 0; j <= 64; ++j) zs.push_back(static_cast<float>(j) / 64.0f);
+  constexpr float kUntouched = -7.0f;
+  for (int w2 = 3; w2 <= 19; ++w2) {
+    const EsKernel es(0.5 * w2, 2.0);
+    for (const int degree : {0, 1, 16}) {
+      const KernelHorner h(es, degree);
+      strides.insert(h.stride());
+      for (const float z : zs) {
+        for (int len = 0; len <= h.segments(); ++len) {
+          float out[KernelHorner::kMaxStride];
+          std::fill(std::begin(out), std::end(out), kUntouched);
+          h.eval_window(z, len, out);
+          for (int i = 0; i < KernelHorner::kMaxStride; ++i) {
+            const float want = i < len ? scalar_recurrence(h, z, i) : kUntouched;
+            ASSERT_TRUE(same_bits(out[i], want))
+                << "W=" << 0.5 * w2 << " degree=" << h.degree() << " z=" << z
+                << " len=" << len << " i=" << i << ": got " << out[i] << ", want " << want;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(strides, (std::set<int>{8, 16, 24}));
+
+#if !defined(NDEBUG) || defined(NUFFT_DEBUG_ASSERTS)
+  // Debug and sanitizer builds reject a len past the row before the copy.
+  const KernelHorner h2(EsKernel(2.0, 2.0));
+  float out[KernelHorner::kMaxStride];
+  EXPECT_THROW(h2.eval_window(0.5f, h2.segments() + 1, out), Error);
+  EXPECT_THROW(h2.eval_window(0.5f, -1, out), Error);
+#endif
+
+  for (const int degree : {0, 1, 16}) {
+    expect_window_spec_rows<4>(degree);
+    expect_window_spec_rows<5>(degree);
+    expect_window_spec_rows<6>(degree);
+    expect_window_spec_rows<7>(degree);
+    expect_window_spec_rows<8>(degree);
+  }
 }
 
 TEST(Horner, RejectsNonHalfIntegerWidth) {

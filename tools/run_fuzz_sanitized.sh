@@ -4,7 +4,8 @@
 # tolerance-contract harness (`ctest -L accuracy`),
 # the parallel-preprocessing suite (`ctest -L preproc`),
 # the convolution-dispatch suite (`ctest -L dispatch`, the constexpr-W vs
-# runtime-W bit-match matrix and the boundary-coordinate trim sweep),
+# runtime-W bit-match matrix, the boundary-coordinate trim sweep and the
+# sample loop's value-block edges),
 # the streaming plan-update suite (`ctest -L streaming`, the warm-vs-cold
 # bit-match matrix — under TSan this races concurrent update-vs-apply paths
 # on the pool), the serving-layer suite (`ctest -L serve`), the chaos
@@ -15,8 +16,10 @@
 # privatization downgrade, engine retries), the MRI suite (`ctest -L mri`:
 # the Toeplitz kernel and apply, density compensation, CG and the
 # multichannel reconstruction) and the kernel suite (`ctest -L kernels`: the
-# Part-2 convolution kernels' unaligned vector loads and stores, the FFTs and
-# BatchFft's zero-padded columns) under AddressSanitizer and
+# interpolation kernels, the LUT and the register-resident Horner row's
+# vector loads over the padded coefficient rows, the Part-2 convolution
+# kernels' unaligned vector loads and stores, the FFTs and BatchFft's
+# zero-padded columns) under AddressSanitizer and
 # UndefinedBehaviorSanitizer, as CI does; pass `thread` to race-check the
 # preprocessing scatter/radix passes, concurrent engine applies, the
 # Toeplitz apply's pool-thread slab writes and the
