@@ -295,8 +295,6 @@ std::size_t plan_resident_bytes(const Preprocessed& pp, const GridDesc& g) {
       bytes += pp.delta->coords_scratch[static_cast<std::size_t>(d)].size() * sizeof(float);
     }
     bytes += pp.delta->orig_scratch.size() * sizeof(index_t);
-    bytes += pp.delta->keys.size() * sizeof(std::uint64_t);
-    bytes += pp.delta->keys_scratch.size() * sizeof(std::uint64_t);
   }
   return bytes;
 }

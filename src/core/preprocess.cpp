@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdint>
-#include <numeric>
-
 #include <cmath>
+#include <cstdint>
 
 #include "common/error.hpp"
 #include "common/timer.hpp"
@@ -23,47 +21,9 @@ index_t privatization_threshold(index_t total_samples, int threads, int dim, dou
 
 namespace {
 
+using detail::CellTables;
 using detail::KeyIdx;
-using detail::KeyPacking;
 using detail::auto_partitions_per_dim;
-using detail::make_key_packing;
-using detail::reorder_key;
-using detail::sort_task_small;
-
-// --- per-task reorder sort -------------------------------------------------
-//
-// The shared (key, orig_index) total order and the comparator sort live in
-// preprocess_detail.hpp; the LSD radix variant below stays private — it
-// additionally requires idx-ascending input (the stable counting-sort
-// order), which only the cold pipeline guarantees.
-
-// Below this an LSD pass costs more in counter zeroing than the comparison
-// sort it replaces.
-constexpr index_t kRadixCutoff = 128;
-
-// Stable LSD radix sort over the low `key_bits` bits in 8-bit digits. The
-// input arrives idx-ascending (stable counting-sort order), so stability
-// alone reproduces the (key, idx) total order.
-void sort_task_radix(KeyIdx* a, KeyIdx* tmp, index_t n, int key_bits) {
-  const int passes = (key_bits + 7) / 8;
-  KeyIdx* src = a;
-  KeyIdx* dst = tmp;
-  for (int p = 0; p < passes; ++p) {
-    const int shift = p * 8;
-    std::array<index_t, 256> cnt{};
-    for (index_t i = 0; i < n; ++i) ++cnt[(src[i].key >> shift) & 0xff];
-    if (cnt[(src[0].key >> shift) & 0xff] == n) continue;  // uniform digit
-    index_t running = 0;
-    for (auto& c : cnt) {
-      const index_t v = c;
-      c = running;
-      running += v;
-    }
-    for (index_t i = 0; i < n; ++i) dst[cnt[(src[i].key >> shift) & 0xff]++] = src[i];
-    std::swap(src, dst);
-  }
-  if (src != a) std::copy(src, src + n, a);
-}
 
 }  // namespace
 
@@ -131,12 +91,13 @@ Preprocessed preprocess(const GridDesc& g, const datasets::SampleSet& samples,
 
   // --- bin samples into tasks (parallel stable counting sort by task id) ---
   //
-  // Pass A counts task ids per deterministic sample chunk; a column scan of
-  // the [chunk × task] count matrix yields exact write cursors; pass B
-  // scatters each chunk in sample order. Output: the serial counting sort's
-  // orig_index, bit for bit.
+  // Pass A looks up each sample's task in the per-cell tables and counts task
+  // ids per deterministic sample chunk; a column scan of the [chunk × task]
+  // count matrix yields exact write cursors; pass B scatters each chunk in
+  // sample order. Output: the serial counting sort's orig_index, bit for bit.
   t.reset();
   const int ntasks = pp.layout.total_parts();
+  const CellTables tables(pp.layout, g.m, cfg.reorder, std::max<index_t>(1, cfg.reorder_tile));
   // The task assignment outlives the build inside the delta state — it is
   // exactly what an update must diff against.
   std::vector<std::int32_t>& task_of = pp.delta->task_of;
@@ -149,12 +110,7 @@ Preprocessed preprocess(const GridDesc& g, const datasets::SampleSet& samples,
     pool.for_static_chunks(count, nchunks, [&](int c, index_t begin, index_t end) {
       index_t* row = cursors.data() + static_cast<std::size_t>(c) * static_cast<std::size_t>(ntasks);
       for (index_t i = begin; i < end; ++i) {
-        std::array<int, 3> pc{0, 0, 0};
-        for (int d = 0; d < dim; ++d) {
-          pc[static_cast<std::size_t>(d)] =
-              pp.layout.locate(d, cptr[static_cast<std::size_t>(d)][i]);
-        }
-        const int tk = pp.layout.flatten(pc);
+        const std::int32_t tk = tables.task(cptr, i);
         task_of[static_cast<std::size_t>(i)] = tk;
         ++row[tk];
       }
@@ -179,38 +135,14 @@ Preprocessed preprocess(const GridDesc& g, const datasets::SampleSet& samples,
   pp.stats.bin_s = t.seconds();
 
   // --- per-task tile reorder for cache reuse (§III-D) ---
+  //
+  // Each task's run, idx-ascending from the bin pass, gets its keys from the
+  // per-cell tables and is sorted into (key, idx) order. Without reorder the
+  // bin order already is that order (every key is 0).
   t.reset();
-  // Sorted keys are retained position-indexed in the delta state so a later
-  // update can merge retained runs without recomputing them (all zero when
-  // the reorder is disabled — every sort below degenerates to idx order).
-  std::vector<std::uint64_t>& sorted_keys = pp.delta->keys;
-  sorted_keys.assign(static_cast<std::size_t>(count), 0);
   if (cfg.reorder && count > 0) {
     obs::Span span("prep.reorder", "prep", ntasks);
-    const index_t tile = std::max<index_t>(1, cfg.reorder_tile);
-    const KeyPacking pk = make_key_packing(dim, g.m, tile);
-    // keys[orig] = tile-scan position of the sample's grid cell.
-    std::vector<std::uint64_t> keys(static_cast<std::size_t>(count));
-    pool.parallel_for(count, [&](index_t begin, index_t end) {
-      for (index_t i = begin; i < end; ++i) {
-        std::array<index_t, 3> cell{0, 0, 0};
-        for (int d = 0; d < dim; ++d) {
-          const auto sd = static_cast<std::size_t>(d);
-          cell[sd] = std::clamp<index_t>(static_cast<index_t>(cptr[sd][i]), 0, g.m[sd] - 1);
-        }
-        keys[static_cast<std::size_t>(i)] = reorder_key(cell, dim, tile, pk);
-      }
-    });
-    // Independent per-task sorts, dispatched to the pool largest-first (the
-    // scheduler's priority discipline): the big tasks dominate, so they must
-    // start before the long tail of small ones.
-    std::vector<int> order(static_cast<std::size_t>(ntasks));
-    std::iota(order.begin(), order.end(), 0);
-    std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
-      const index_t ca = offset[static_cast<std::size_t>(a) + 1] - offset[static_cast<std::size_t>(a)];
-      const index_t cb = offset[static_cast<std::size_t>(b) + 1] - offset[static_cast<std::size_t>(b)];
-      return ca != cb ? ca > cb : a < b;
-    });
+    const std::vector<int> order = detail::largest_first(offset);
     auto* base = pp.orig_index.data();
     std::atomic<int> next{0};
     pool.run_on_all([&](int) {
@@ -222,27 +154,15 @@ Preprocessed preprocess(const GridDesc& g, const datasets::SampleSet& samples,
         const int k = order[static_cast<std::size_t>(j)];
         const index_t begin = offset[static_cast<std::size_t>(k)];
         const index_t n = offset[static_cast<std::size_t>(k) + 1] - begin;
-        if (n == 0) continue;
-        if (n == 1) {
-          sorted_keys[static_cast<std::size_t>(begin)] =
-              keys[static_cast<std::size_t>(base[begin])];
-          continue;
-        }
+        if (n < 2) continue;
         buf.resize(static_cast<std::size_t>(n));
+        tmp.resize(static_cast<std::size_t>(n));
         for (index_t i = 0; i < n; ++i) {
           const index_t idx = base[begin + i];
-          buf[static_cast<std::size_t>(i)] = {keys[static_cast<std::size_t>(idx)], idx};
+          buf[static_cast<std::size_t>(i)] = {tables.key(cptr, idx), idx};
         }
-        if (n < kRadixCutoff) {
-          sort_task_small(buf.data(), n);
-        } else {
-          tmp.resize(static_cast<std::size_t>(n));
-          sort_task_radix(buf.data(), tmp.data(), n, pk.total_bits);
-        }
-        for (index_t i = 0; i < n; ++i) {
-          base[begin + i] = buf[static_cast<std::size_t>(i)].idx;
-          sorted_keys[static_cast<std::size_t>(begin + i)] = buf[static_cast<std::size_t>(i)].key;
-        }
+        detail::sort_task(buf.data(), tmp.data(), n, tables.total_key_bits());
+        for (index_t i = 0; i < n; ++i) base[begin + i] = buf[static_cast<std::size_t>(i)].idx;
       }
     });
   }

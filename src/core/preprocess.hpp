@@ -11,7 +11,15 @@
 // per-chunk partial histograms with prefix-scan merges, a two-pass parallel
 // stable counting sort for task binning, a per-task LSD radix sort for the
 // tile reorder (tasks dispatched largest-first), and parallel gather of the
-// reordered coordinate arrays.
+// reordered coordinate arrays. A sample's task and reorder key are read from
+// small per-cell tables built per call (core/preprocess_detail.hpp), not
+// computed by a bounds search and integer div/mods per sample.
+//
+// update_preprocessed() patches a plan for a perturbed trajectory with the
+// same passes restricted to the moved samples (DESIGN.md §15): a parallel
+// diff that also looks up each moved sample's new task, a cursor-matrix
+// scatter of the arrivals, and a per-task sort-and-merge that recomputes the
+// retained samples' keys from their unchanged coordinates.
 //
 // Determinism contract: the output depends only on (grid, samples, cfg) —
 // never on the pool width or its scheduling. Every field of `Preprocessed`
@@ -100,30 +108,30 @@ struct ConvTask {
 /// update_preprocessed() can diff a perturbed trajectory against the plan
 /// and patch it in place instead of rebuilding. Never serialized (plan-cache
 /// blobs stay format-stable); a restored plan rebuilds it lazily on its
-/// first update from tasks/orig_index/coords alone.
+/// first update from tasks/orig_index/coords alone. An update commits
+/// task_of, cell_counts and prev_coords together, after its last allocation,
+/// so a throwing update leaves them describing the plan it did not change.
+///
+/// No reorder keys are stored: a retained sample's coordinates are bitwise
+/// unchanged, so an update recomputes its key from them through the per-cell
+/// key tables, which costs less than streaming 8 bytes per sample.
 struct PlanDeltaState {
   /// Original sample index → owning task, the cold bin pass's assignment.
   std::vector<std::int32_t> task_of;
-  /// Per-dimension per-grid-cell sample counts (variable layouts only) —
-  /// patched ±1 per moved sample so the boundary-placement walk can re-run
-  /// without touching the unmoved samples.
+  /// Per-dimension per-grid-cell sample counts (variable layouts only). An
+  /// update patches a copy ±1 per moved sample and re-runs the
+  /// boundary-placement walk on it without touching the unmoved samples.
   std::array<std::vector<index_t>, 3> cell_counts;
   /// The plan's current coordinates in the caller's original sample order.
   /// Lets the update diff two contiguous arrays sequentially instead of
   /// chasing orig_index indirections through the reordered copy — the diff
   /// pass is the one part of an update that always touches every sample.
   std::array<fvec, 3> prev_coords;
-  /// Reorder key per *reordered* position (all zero when !cfg.reorder). A
-  /// retained sample's key is bitwise-reproducible from its coordinates, so
-  /// keeping the sorted key array turns the dirty-task merge's per-retained
-  /// key recomputation (two integer div/mods by the runtime tile edge per
-  /// dimension) into one sequential 8-byte read.
-  std::vector<std::uint64_t> keys;
   /// Double buffers for the swap-based update: after the first update the
-  /// steady state allocates nothing.
+  /// steady state reallocates neither the reordered coordinates nor
+  /// orig_index.
   std::array<fvec, 3> coords_scratch;
   std::vector<index_t> orig_scratch;
-  std::vector<std::uint64_t> keys_scratch;
 };
 
 struct Preprocessed {
@@ -192,7 +200,10 @@ struct UpdateOptions {
 ///
 /// Postcondition (the determinism contract extended): whatever the path,
 /// `pp` is bit-identical to preprocess(g, new_samples, cfg, any pool) in
-/// every field except `stats`/`delta`, at any pool width.
+/// every field except `stats`/`delta`, at any pool width; the delta state's
+/// task_of, cell_counts and prev_coords equal the cold build's. If the call
+/// throws (an allocation failure), `pp` is left as it was, those three
+/// included.
 UpdatePath update_preprocessed(Preprocessed& pp, const GridDesc& g,
                                const datasets::SampleSet& new_samples, const PlanConfig& cfg,
                                ThreadPool& pool, const UpdateOptions& opts = {});

@@ -38,7 +38,10 @@ struct PartitionLayout {
     for (int d = 0; d < dim; ++d) t *= num_parts[d];
     return t;
   }
-  /// Partition index along dimension d containing coordinate x.
+  /// Partition index along dimension d containing coordinate x. The
+  /// definition of a sample's partition: the preprocessing pipeline reads it
+  /// from per-cell tables built from the bounds (core/preprocess_detail.hpp)
+  /// and tested against this.
   int locate(int d, float x) const;
   /// Flatten per-dimension partition coordinates (row-major, dim 0 slowest).
   int flatten(const std::array<int, 3>& pc) const;

@@ -16,10 +16,12 @@
 #include "common/error.hpp"
 #include "common/fault.hpp"
 #include "core/nufft.hpp"
+#include "core/preprocess.hpp"
 #include "datasets/trajectory.hpp"
 #include "exec/batch_nufft.hpp"
 #include "exec/engine.hpp"
 #include "exec/plan_registry.hpp"
+#include "parallel/thread_pool.hpp"
 #include "test_util.hpp"
 
 static_assert(nufft::fault::enabled(),
@@ -394,6 +396,73 @@ TEST_F(FaultTest, PrivateBufferAllocFailureFallsBackToDirectScatter) {
   for (index_t b = 0; b < kBatch; ++b) {
     EXPECT_LT(testing::rel_err(got[b].data(), ref[b].data(), f.g.image_elems()), 1e-5)
         << "slice " << b;
+  }
+}
+
+
+// --- trajectory updates -----------------------------------------------------
+
+// Every field of two preprocessing results, the delta bookkeeping an update
+// diffs against included.
+void expect_same_plan(const Preprocessed& a, const Preprocessed& b) {
+  ASSERT_EQ(a.layout.dim, b.layout.dim);
+  for (int d = 0; d < a.layout.dim; ++d) {
+    const auto sd = static_cast<std::size_t>(d);
+    ASSERT_EQ(a.layout.bounds[sd], b.layout.bounds[sd]);
+    ASSERT_EQ(a.coords[sd].size(), b.coords[sd].size());
+    ASSERT_EQ(std::memcmp(a.coords[sd].data(), b.coords[sd].data(),
+                          a.coords[sd].size() * sizeof(float)),
+              0);
+  }
+  ASSERT_EQ(a.orig_index, b.orig_index);
+  ASSERT_EQ(a.tasks.size(), b.tasks.size());
+  for (std::size_t k = 0; k < a.tasks.size(); ++k) {
+    EXPECT_EQ(a.tasks[k].begin, b.tasks[k].begin);
+    EXPECT_EQ(a.tasks[k].end, b.tasks[k].end);
+  }
+  ASSERT_EQ(a.weights, b.weights);
+  ASSERT_EQ(a.privatized, b.privatized);
+  ASSERT_NE(a.delta, nullptr);
+  ASSERT_NE(b.delta, nullptr);
+  ASSERT_EQ(a.delta->task_of, b.delta->task_of);
+  for (int d = 0; d < a.layout.dim; ++d) {
+    const auto sd = static_cast<std::size_t>(d);
+    ASSERT_EQ(a.delta->cell_counts[sd], b.delta->cell_counts[sd]);
+    const auto& pa = a.delta->prev_coords[sd];
+    const auto& pb = b.delta->prev_coords[sd];
+    ASSERT_EQ(pa.size(), pb.size());
+    ASSERT_EQ(std::memcmp(pa.data(), pb.data(), pa.size() * sizeof(float)), 0);
+  }
+}
+
+// An allocation failure inside a warm update must leave the plan and its
+// delta state as they were: the next update diffs against that state, so a
+// half-committed task_of or cell count table would mis-bin later frames.
+TEST_F(FaultTest, UpdateAllocFailureLeavesPlanAndDeltaUntouched) {
+  const GridDesc g = make_grid(2, 32, 2.0);
+  const auto base = testing::small_trajectory(TrajectoryType::kRandom, 2, 32, 6000);
+  // Every 40th sample moves one whole cell per dimension, so task_of,
+  // prev_coords and (variable layouts) the cell counts all change.
+  const auto next = testing::moved_samples(base, 40, 1.0f);
+  for (const bool variable : {false, true}) {
+    SCOPED_TRACE(variable ? "variable layout" : "fixed layout");
+    PlanConfig cfg;
+    cfg.threads = 8;
+    cfg.kernel_radius = 2.0;
+    cfg.variable_partitions = variable;
+    ThreadPool pool(3);
+    auto pp = preprocess(g, base, cfg, pool);
+    const Preprocessed snapshot = clone_preprocessed(pp);
+
+    fault::arm("prep.update.alloc", 1);
+    EXPECT_THROW(update_preprocessed(pp, g, next, cfg, pool), std::bad_alloc);
+    EXPECT_EQ(fault::fired("prep.update.alloc"), 1u);
+    expect_same_plan(snapshot, pp);
+
+    ASSERT_EQ(update_preprocessed(pp, g, next, cfg, pool), UpdatePath::kWarm);
+    EXPECT_EQ(fault::fired("prep.update.alloc"), 1u);
+    expect_same_plan(preprocess(g, next, cfg, pool), pp);
+    fault::reset();
   }
 }
 

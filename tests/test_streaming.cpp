@@ -9,20 +9,24 @@
 // constructor must transform bit-identically to a fresh plan).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "core/nufft.hpp"
 #include "core/plan_cache.hpp"
 #include "core/preprocess.hpp"
+#include "core/preprocess_detail.hpp"
 #include "exec/batch_nufft.hpp"
 #include "exec/engine.hpp"
 #include "exec/plan_registry.hpp"
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
+#include "obs/trace.hpp"
 #include "parallel/thread_pool.hpp"
 #include "test_util.hpp"
 
@@ -86,6 +90,22 @@ void expect_identical(const Preprocessed& a, const Preprocessed& b) {
       ASSERT_EQ(std::memcmp(&ca[i], &cb[i], sizeof(float)), 0)
           << "coords differ bitwise at dim " << d << " index " << i;
     }
+  }
+}
+
+// The delta bookkeeping an update commits must equal what a cold build of
+// the same samples records — the next update diffs against it.
+void expect_same_delta(const Preprocessed& a, const Preprocessed& b) {
+  ASSERT_NE(a.delta, nullptr);
+  ASSERT_NE(b.delta, nullptr);
+  ASSERT_EQ(a.delta->task_of, b.delta->task_of);
+  for (int d = 0; d < a.layout.dim; ++d) {
+    const auto sd = static_cast<std::size_t>(d);
+    ASSERT_EQ(a.delta->cell_counts[sd], b.delta->cell_counts[sd]) << "dim " << d;
+    const auto& pa = a.delta->prev_coords[sd];
+    const auto& pb = b.delta->prev_coords[sd];
+    ASSERT_EQ(pa.size(), pb.size());
+    ASSERT_EQ(std::memcmp(pa.data(), pb.data(), pa.size() * sizeof(float)), 0) << "dim " << d;
   }
 }
 
@@ -162,6 +182,111 @@ TEST(Streaming, RepeatedWarmUpdatesDoNotDrift) {
     const UpdatePath path = update_preprocessed(pp, g, frame, cfg, pool);
     EXPECT_EQ(path, UpdatePath::kWarm) << "frame " << f;
     expect_identical(preprocess(g, frame, cfg, serial), pp);
+  }
+}
+
+// Hundreds of arrivals per task, so the update sorts them with the radix
+// path (kRadixCutoff = 128) and the keys need two 8-bit digits (m = 128,
+// tile 8: 14 key bits). The radix sort is stable, so this pins that the
+// arrival scatter hands each task its arrivals idx-ascending; chained frames
+// pin the committed delta state as well.
+TEST(Streaming, RadixPathChainedFramesBitIdentical) {
+  const GridDesc g = make_grid(2, 64, 2.0);
+  // Uniform over the grid, so even the narrow last row and column of tasks
+  // get well over kRadixCutoff arrivals per frame.
+  SampleSet base;
+  base.dim = 2;
+  base.m = g.m[0];
+  base.k = 600;
+  base.s = 100;
+  Rng rng(77);
+  const float top = std::nextafterf(static_cast<float>(base.m), 0.0f);
+  for (int d = 0; d < 2; ++d) {
+    auto& c = base.coords[static_cast<std::size_t>(d)];
+    c.resize(static_cast<std::size_t>(base.count()));
+    for (auto& x : c) {
+      x = std::min(static_cast<float>(rng.uniform(0.0, static_cast<double>(base.m))), top);
+    }
+  }
+  for (const bool reorder : {true, false}) {
+    PlanConfig cfg = plan_config();
+    cfg.threads = 2;  // 6 × 6 = 36 tasks
+    cfg.variable_partitions = false;
+    cfg.reorder = reorder;
+    ThreadPool serial(1);
+    for (const int width : {1, 3, 8}) {
+      ThreadPool pool(width);
+      auto pp = preprocess(g, base, cfg, pool);
+      ASSERT_EQ(pp.tasks.size(), 36u);
+      SampleSet frame = base;
+      for (int f = 0; f < 5; ++f) {
+        SCOPED_TRACE(::testing::Message() << "reorder " << reorder << " width " << width
+                                          << " frame " << f);
+        const SampleSet next = jitter(frame, 0.20, 0.75f, 300 + static_cast<std::uint64_t>(f));
+        // Arrivals per task, counted from the definitions.
+        std::vector<index_t> arrivals(pp.tasks.size(), 0);
+        for (index_t i = 0; i < next.count(); ++i) {
+          const auto si = static_cast<std::size_t>(i);
+          if (std::memcmp(&next.coords[0][si], &frame.coords[0][si], sizeof(float)) == 0 &&
+              std::memcmp(&next.coords[1][si], &frame.coords[1][si], sizeof(float)) == 0) {
+            continue;
+          }
+          const int t = pp.layout.flatten({pp.layout.locate(0, next.coords[0][si]),
+                                           pp.layout.locate(1, next.coords[1][si]), 0});
+          ++arrivals[static_cast<std::size_t>(t)];
+        }
+        // Every task sorts its arrivals on the radix path.
+        EXPECT_GE(*std::min_element(arrivals.begin(), arrivals.end()), detail::kRadixCutoff);
+        EXPECT_GE(*std::max_element(arrivals.begin(), arrivals.end()), 300);
+        ASSERT_EQ(update_preprocessed(pp, g, next, cfg, pool), UpdatePath::kWarm);
+        const auto cold = preprocess(g, next, cfg, serial);
+        expect_identical(cold, pp);
+        expect_same_delta(cold, pp);
+        frame = next;
+      }
+    }
+  }
+}
+
+// The update's four passes are spans nested under prep.update, one each,
+// like the cold build's prep.partition/bin/reorder/gather; a no-op update
+// diffs but emits none of them.
+TEST(Streaming, WarmUpdateEmitsPassSpans) {
+  const GridDesc g = make_grid(2, 32, 2.0);
+  const auto base = testing::small_trajectory(TrajectoryType::kRandom, 2, 32, 6000);
+  PlanConfig cfg = plan_config();
+  cfg.variable_partitions = false;
+  ThreadPool pool(2);
+  auto pp = preprocess(g, base, cfg, pool);
+  const SampleSet next = jitter(base, 0.05, 0.75f, 21);
+  const char* const kPasses[] = {"prep.update.diff", "prep.update.rebin", "prep.update.merge",
+                                 "prep.update.publish"};
+  obs::set_trace_enabled(true);
+  obs::reset_spans();
+  ASSERT_EQ(update_preprocessed(pp, g, next, cfg, pool), UpdatePath::kWarm);
+  const auto warm = obs::drain_spans();
+  SampleSet same = next;
+  ASSERT_EQ(update_preprocessed(pp, g, same, cfg, pool), UpdatePath::kNoop);
+  const auto noop = obs::drain_spans();
+  obs::set_trace_enabled(false);
+
+  const obs::SpanEvent* parent = nullptr;
+  for (const auto& s : warm) {
+    if (std::string(s.name) == "prep.update") parent = &s;
+  }
+  ASSERT_NE(parent, nullptr);
+  for (const char* name : kPasses) {
+    int seen = 0;
+    for (const auto& s : warm) {
+      if (std::string(s.name) != name) continue;
+      ++seen;
+      EXPECT_EQ(std::string(s.cat), "prep");
+      EXPECT_GE(s.t0_ns, parent->t0_ns) << name;
+      EXPECT_LE(s.t1_ns, parent->t1_ns) << name;
+      EXPECT_LE(s.t0_ns, s.t1_ns) << name;
+    }
+    EXPECT_EQ(seen, 1) << name;
+    for (const auto& s : noop) EXPECT_NE(std::string(s.name), name) << "no-op emitted it";
   }
 }
 

@@ -2,7 +2,9 @@
 # Run the differential fuzz harness (`ctest -L fuzz`, including the serving
 # wire-protocol fuzz and the streaming trajectory-delta battery), the
 # tolerance-contract harness (`ctest -L accuracy`),
-# the parallel-preprocessing suite (`ctest -L preproc`),
+# the preprocessing suite (`ctest -L preproc`: the partition layouts, the
+# per-cell task and key tables, which index by a cell clamped from a float,
+# and the parallel pipeline's pool-width determinism),
 # the convolution-dispatch suite (`ctest -L dispatch`, the constexpr-W vs
 # runtime-W bit-match matrix, the boundary-coordinate trim sweep and the
 # sample loop's value-block edges),
