@@ -3,6 +3,8 @@
 // window computation, histogram/partitioning, scheduler round trips.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+
 #include "common.hpp"
 #include "core/batch_conv.hpp"
 #include "core/convolution.hpp"
@@ -58,6 +60,44 @@ void BM_Fft3d(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Fft3d)->Arg(32)->Arg(64);
+
+// The plan's own FFT (Nufft::grid_fft: pruned, column stages) on nb slabs,
+// args {dim, m, nb, direction (0 forward, 1 inverse)}. Each iteration starts
+// from the same input, copied in untimed. `per_slice` is the time per slice.
+void BM_PlanFft(benchmark::State& state) {
+  const int dim = static_cast<int>(state.range(0));
+  const index_t m = state.range(1);
+  const index_t nb = state.range(2);
+  const auto dir = state.range(3) == 0 ? fft::Direction::kForward : fft::Direction::kInverse;
+  datasets::TrajectoryParams p;
+  p.n = m / 2;
+  p.k = 64;
+  p.s = 16;
+  const datasets::SampleSet set =
+      datasets::make_trajectory(datasets::TrajectoryType::kRandom, dim, p);
+  const Nufft plan(make_grid(dim, m / 2, 2.0), set, bench::optimized_config(bench_threads()));
+  const auto slab = static_cast<std::size_t>(plan.grid_desc().grid_elems());
+  const cvecf src = bench::random_values(static_cast<index_t>(slab), 5);
+  aligned_vector<cfloat> buf(static_cast<std::size_t>(nb) * slab);
+  for (auto _ : state) {
+    state.PauseTiming();
+    for (index_t b = 0; b < nb; ++b) {
+      std::copy(src.begin(), src.end(), buf.begin() + static_cast<std::ptrdiff_t>(b * slab));
+    }
+    state.ResumeTiming();
+    plan.grid_fft(buf.data(), nb, dir, plan.pool());
+    benchmark::DoNotOptimize(buf.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["per_slice"] =
+      benchmark::Counter(static_cast<double>(state.iterations() * nb),
+                         benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_PlanFft)
+    ->ArgsProduct({{3}, {128, 64}, {1, 8}, {0, 1}})
+    ->ArgsProduct({{2}, {256}, {1, 8}, {0, 1}})
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 void BM_BesselI0(benchmark::State& state) {
   double x = 0.1;

@@ -5,16 +5,21 @@
 //   $ ./build/examples/nufft_output_hashes > after.txt
 //   $ diff before.txt after.txt      # before.txt: the same tool, older tree
 //
-// One line per (backend, dim, kernel/evaluator, pool width) — {scalar, sse,
-// avx2} × d1–3 × {kb.lut, es.horner} × pool {1, 3} — with four hashes:
-// forward and adjoint of a single apply (nb = 1) and of an 8-slice apply
-// (nb = 8). The last line hashes every line above it. Rows for AVX2 print
-// "skipped" on CPUs without AVX2+FMA, so compare files from one host.
+// One line per (backend, grid, kernel/evaluator, pool width) — {scalar, sse,
+// avx2} × {d1 m1024, d2 m96, d2 m64, d3 m32} × {kb.lut, es.horner} ×
+// pool {1, 3} — with the hashes of the forward and adjoint of a single
+// apply (nb = 1) and of an 8-slice apply (nb = 8), and on 2-D and 3-D grids
+// of an 8-slice ToeplitzNormal::apply (`toep8`). The last line hashes every
+// line above it. Rows for AVX2 print "skipped" on CPUs without AVX2+FMA, so
+// compare files from one host.
 //
-// The plans cover both Part-1 routes: KB/LUT at the default W = 4 and
-// ES/Horner at W = 2 (2-D) and 3 (3-D) bind constexpr-W variants, ES/Horner
-// at W = 4.5 (1-D) binds the runtime-W one. Every plan holds a few thousand
-// variable-density samples, so its tasks run several value blocks.
+// The grids cover both FFT routes: m = 96 runs Bluestein rows, the others
+// are powers of two and run the column stages (m = 64 is the 2-D transform
+// of the small serving and streaming plans). The plans cover both Part-1
+// routes: KB/LUT at the default W = 4 and ES/Horner at W = 2 (2-D) and 3
+// (3-D) bind constexpr-W variants, ES/Horner at W = 4.5 (1-D) binds the
+// runtime-W one. Every plan holds a few thousand variable-density samples,
+// so its tasks run several value blocks.
 #include <cstdint>
 #include <cstdio>
 #include <vector>
@@ -22,6 +27,7 @@
 #include "common/rng.hpp"
 #include "core/convolution_avx2.hpp"
 #include "core/nufft.hpp"
+#include "core/toeplitz.hpp"
 #include "datasets/trajectory.hpp"
 #include "parallel/thread_pool.hpp"
 
@@ -51,11 +57,12 @@ cvecf random_values(index_t n, std::uint64_t seed) {
 }
 
 struct Hashes {
-  std::uint64_t fwd1, adj1, fwd8, adj8;
+  std::uint64_t fwd1, adj1, fwd8, adj8, toep8;
 };
 
-/// Forward and adjoint of one plan at nb = 1 and nb = kBatch.
-Hashes run(const Nufft& plan, ThreadPool& pool) {
+/// Forward and adjoint of one plan at nb = 1 and nb = kBatch, and the
+/// Toeplitz normal operator at nb = kBatch when `toeplitz` is set.
+Hashes run(const Nufft& plan, ThreadPool& pool, bool toeplitz) {
   const index_t ni = plan.image_elems();
   const index_t ns = plan.sample_count();
   const cvecf images = random_values(kBatch * ni, 11);
@@ -84,16 +91,29 @@ Hashes run(const Nufft& plan, ThreadPool& pool) {
   h.fwd8 = fnv1a(fwd.data(), kBatch * ns);
   plan.adjoint(raw_in.data(), adj_out.data(), kBatch, ws8, pool);
   h.adj8 = fnv1a(adj.data(), kBatch * ni);
+
+  if (toeplitz) {
+    const ToeplitzNormal normal(plan, ws8, pool);
+    normal.apply(img_in.data(), adj_out.data(), kBatch, ws8, pool);
+    h.toep8 = fnv1a(adj.data(), kBatch * ni);
+  }
   return h;
 }
 
-datasets::SampleSet samples_for(int dim) {
+struct Shape {
+  int dim;
+  index_t n;  // image size; the grid is m = 2n
+};
+
+constexpr Shape kShapes[] = {{1, 512}, {2, 48}, {2, 32}, {3, 16}};
+
+datasets::SampleSet samples_for(const Shape& shape) {
   datasets::TrajectoryParams p;
-  p.n = dim == 1 ? 512 : (dim == 2 ? 48 : 16);
+  p.n = shape.n;
   p.k = 96;
   p.s = 64;
-  p.seed = 77 + static_cast<std::uint64_t>(dim);
-  return datasets::make_trajectory(datasets::TrajectoryType::kRandom, dim, p);
+  p.seed = 77 + static_cast<std::uint64_t>(shape.dim);
+  return datasets::make_trajectory(datasets::TrajectoryType::kRandom, shape.dim, p);
 }
 
 struct Backend {
@@ -123,27 +143,31 @@ PlanConfig config_for(const Backend& backend, int dim, bool horner, int threads)
 int main() {
   std::uint64_t all = 0xcbf29ce484222325ull;
   for (const Backend& backend : kBackends) {
-    for (int dim = 1; dim <= 3; ++dim) {
-      const datasets::SampleSet set = samples_for(dim);
+    for (const Shape& shape : kShapes) {
+      const int dim = shape.dim;
+      const datasets::SampleSet set = samples_for(shape);
       const GridDesc g = make_grid(dim, set.m / 2, 2.0);
       for (const bool horner : {false, true}) {
         for (const int threads : {1, 3}) {
-          std::printf("%-6s d%d %-9s pool%d ", backend.name, dim,
-                      horner ? "es.horner" : "kb.lut", threads);
+          std::printf("%-6s d%d m%-4lld %-9s pool%d ", backend.name, dim,
+                      static_cast<long long>(g.m[0]), horner ? "es.horner" : "kb.lut", threads);
           if (backend.isa == SimdIsa::kAvx2 && !avx2_available()) {
             std::printf("skipped\n");
             continue;
           }
           const Nufft plan(g, set, config_for(backend, dim, horner, threads));
           ThreadPool pool(threads);
-          const Hashes h = run(plan, pool);
-          std::printf("fwd1=%016llx adj1=%016llx fwd8=%016llx adj8=%016llx %s\n",
+          const bool toeplitz = dim >= 2;
+          const Hashes h = run(plan, pool, toeplitz);
+          std::printf("fwd1=%016llx adj1=%016llx fwd8=%016llx adj8=%016llx",
                       static_cast<unsigned long long>(h.fwd1),
                       static_cast<unsigned long long>(h.adj1),
                       static_cast<unsigned long long>(h.fwd8),
-                      static_cast<unsigned long long>(h.adj8),
-                      plan.plan_stats().conv_variant.c_str());
-          const std::uint64_t line[4] = {h.fwd1, h.adj1, h.fwd8, h.adj8};
+                      static_cast<unsigned long long>(h.adj8));
+          if (toeplitz) std::printf(" toep8=%016llx", static_cast<unsigned long long>(h.toep8));
+          std::printf(" %s\n", plan.plan_stats().conv_variant.c_str());
+          std::vector<std::uint64_t> line{h.fwd1, h.adj1, h.fwd8, h.adj8};
+          if (toeplitz) line.push_back(h.toep8);
           for (const std::uint64_t x : line) {
             for (int i = 0; i < 8; ++i) {
               all ^= (x >> (8 * i)) & 0xffu;

@@ -6,6 +6,7 @@
 #include "core/batch_fft_stages.hpp"
 #include "fft/fft1d.hpp"
 #include "fft/twiddle.hpp"
+#include "obs/trace.hpp"
 #include "simd/vec4f.hpp"
 
 namespace nufft {
@@ -14,6 +15,106 @@ namespace {
 
 using fft::Direction;
 using simd::Vec4f;
+
+// Copy loops between the slabs and the column-interleaved buffer. One value,
+// two adjacent values, or a 2×2 tile: from a = (a0, a1), b = (b0, b1) to
+// lo = (a0, b0), hi = (a1, b1). The tile is its own inverse, so a scatter
+// swaps the roles of the two pairs.
+inline void copy1(const cfloat* s, cfloat* d) {
+  _mm_storel_epi64(reinterpret_cast<__m128i*>(d),
+                   _mm_loadl_epi64(reinterpret_cast<const __m128i*>(s)));
+}
+
+inline void copy2(const cfloat* s, cfloat* d) {
+  _mm_storeu_ps(reinterpret_cast<float*>(d), _mm_loadu_ps(reinterpret_cast<const float*>(s)));
+}
+
+inline void transpose2(const cfloat* a, const cfloat* b, cfloat* lo, cfloat* hi) {
+  const __m128 x = _mm_loadu_ps(reinterpret_cast<const float*>(a));
+  const __m128 y = _mm_loadu_ps(reinterpret_cast<const float*>(b));
+  _mm_storeu_ps(reinterpret_cast<float*>(lo), _mm_movelh_ps(x, y));
+  _mm_storeu_ps(reinterpret_cast<float*>(hi), _mm_movehl_ps(y, x));
+}
+
+// kGather moves slab → buffer, otherwise buffer → slab.
+template <bool kGather>
+struct Mover {
+  static void one(cfloat* slab, cfloat* buf) { kGather ? copy1(slab, buf) : copy1(buf, slab); }
+  static void two(cfloat* slab, cfloat* buf) { kGather ? copy2(slab, buf) : copy2(buf, slab); }
+  static void tile(cfloat* a, cfloat* b, cfloat* lo, cfloat* hi) {
+    kGather ? transpose2(a, b, lo, hi) : transpose2(lo, hi, a, b);
+  }
+};
+
+// Where a block's rows sit in the slabs.
+struct BlockGeom {
+  std::size_t len;      // transform length
+  std::size_t ax_st;    // stride between elements of a row
+  std::size_t bstride;  // stride between adjacent rows of a block
+  std::size_t slab;     // cells per slab
+  std::size_t nb;
+};
+
+// Moves the `blk` rows of one block (row 0 of slice b at p0 + b·slab) to or
+// from the buffer, element k of (row j, slice b) ↔ buf[k·cols + j·nb + b],
+// walking the slabs at unit stride:
+//  * contiguous axis (ax_st = 1): buffer column j·nb + b is a grid line; a
+//    tile is elements k, k+1 of two adjacent columns (len is a power of two);
+//  * strided axis (bstride = 1): the block's piece of line k is contiguous.
+//    At nb = 1 it is a straight copy; otherwise a tile is rows j, j+1 of
+//    slices b, b+1, and the last slice of an odd nb moves value by value.
+template <bool kGather>
+void move_block(const BlockGeom& g, cfloat* p0, std::size_t blk, cfloat* buf, std::size_t cols) {
+  using M = Mover<kGather>;
+  if (g.ax_st == 1) {
+    const std::size_t ncols = blk * g.nb;
+    auto line = [&](std::size_t c) { return p0 + (c % g.nb) * g.slab + (c / g.nb) * g.bstride; };
+    std::size_t c = 0;
+    for (; c + 1 < ncols; c += 2) {
+      cfloat* a = line(c);
+      cfloat* b = line(c + 1);
+      for (std::size_t k = 0; k < g.len; k += 2) {
+        M::tile(a + k, b + k, buf + k * cols + c, buf + (k + 1) * cols + c);
+      }
+    }
+    if (c < ncols) {
+      cfloat* a = line(c);
+      for (std::size_t k = 0; k < g.len; ++k) M::one(a + k, buf + k * cols + c);
+    }
+    return;
+  }
+  if (g.nb == 1) {
+    for (std::size_t k = 0; k < g.len; ++k) {
+      cfloat* l = p0 + k * g.ax_st;
+      cfloat* d = buf + k * cols;
+      std::size_t j = 0;
+      for (; j + 1 < blk; j += 2) M::two(l + j, d + j);
+      if (j < blk) M::one(l + j, d + j);
+    }
+    return;
+  }
+  std::size_t b = 0;
+  for (; b + 1 < g.nb; b += 2) {
+    for (std::size_t k = 0; k < g.len; ++k) {
+      cfloat* l0 = p0 + b * g.slab + k * g.ax_st;
+      cfloat* l1 = l0 + g.slab;
+      cfloat* d = buf + k * cols + b;
+      std::size_t j = 0;
+      for (; j + 1 < blk; j += 2) M::tile(l0 + j, l1 + j, d + j * g.nb, d + (j + 1) * g.nb);
+      if (j < blk) {
+        M::one(l0 + j, d + j * g.nb);
+        M::one(l1 + j, d + j * g.nb + 1);
+      }
+    }
+  }
+  if (b < g.nb) {
+    for (std::size_t k = 0; k < g.len; ++k) {
+      cfloat* l = p0 + b * g.slab + k * g.ax_st;
+      cfloat* d = buf + k * cols + b;
+      for (std::size_t j = 0; j < blk; ++j) M::one(l + j, d + j * g.nb);
+    }
+  }
+}
 
 // Complex multiply of two packed (re, im) pairs by one twiddle held as
 // wr = splat(w.re) and wi = (−w.im, w.im, −w.im, w.im):
@@ -138,14 +239,11 @@ void BatchFft::transform(cfloat* slabs, index_t nb, Direction dir, ThreadPool& p
   // one restricted to the corner rows. Either way the axes a pass has not
   // reached (forward) or has finished (adjoint) are the ones above it. The
   // order depends on the direction only, never on nb or the backend.
-  if (dir == Direction::kForward) {
-    for (std::size_t a = 0; a < static_cast<std::size_t>(g_.dim); ++a) {
-      axis_pass(slabs, nb, a, dir, pool, batched_stages);
-    }
-  } else {
-    for (std::size_t a = static_cast<std::size_t>(g_.dim); a-- > 0;) {
-      axis_pass(slabs, nb, a, dir, pool, batched_stages);
-    }
+  const auto dim = static_cast<std::size_t>(g_.dim);
+  for (std::size_t i = 0; i < dim; ++i) {
+    const std::size_t a = dir == Direction::kForward ? i : dim - 1 - i;
+    obs::Span span("nufft.fft.axis", "core", static_cast<std::int64_t>(a));
+    axis_pass(slabs, nb, a, dir, pool, batched_stages);
   }
 }
 
@@ -223,65 +321,55 @@ void BatchFft::axis_pass(cfloat* slabs, index_t nb, std::size_t axis, Direction 
   const std::size_t colpad = avx2_ ? 3 : 1;
   auto pad_cols = [colpad](std::size_t c) { return (c + colpad) & ~colpad; };
 
-  // Strided-axis rows are gathered one 8-byte complex per 64-byte cache
-  // line. Adjacent rows along the contiguous grid dimension sit 1 complex
-  // apart, and the row-coordinate lists are unions of contiguous runs (the
-  // corner set is [0, n−n/2) ∪ [m−n/2, m)), so blocks of up to kRowBlock
-  // adjacent rows are transformed together — the block's rows simply become
-  // extra columns of the same interleaved transform, and each (k, slice)
-  // gather reads kRowBlock consecutive complex values (a full line).
-  constexpr index_t kRowBlock = 2;
+  // Rows are transformed in blocks of up to kRowBlock adjacent rows, which
+  // become extra columns of one interleaved transform: 8 complex values are
+  // one 64-byte cache line. A block is a run of consecutive indices of the
+  // innermost row-coordinate list, so it never crosses a gap between corner
+  // runs (the corner set is [0, n−n/2) ∪ [m−n/2, m)) or an outer row, and
+  // its rows sit `bstride` apart. A strided axis blocks along the contiguous
+  // dimension (bstride 1), the contiguous axis along the next axis out
+  // (bstride m[dim−1]).
+  constexpr index_t kRowBlock = 8;
   const std::vector<index_t>* ilist = nlists > 0 ? lists[nlists - 1] : nullptr;
-  const bool blockable = nlists > 0 && lstrides[nlists - 1] == 1 && ax_st != 1;
-  struct Group {
-    index_t r0;
+  const index_t ilen = nlists > 0 ? static_cast<index_t>(ilist->size()) : 1;
+  const auto bstride = static_cast<std::size_t>(nlists > 0 ? lstrides[nlists - 1] : 0);
+  struct Block {
+    index_t i0;  // first position in the innermost list
     index_t blk;
   };
-  std::vector<Group> groups;
-  groups.reserve(static_cast<std::size_t>(nrows));
-  if (blockable) {
-    const auto ilen = static_cast<index_t>(ilist->size());
-    for (index_t r = 0; r < nrows;) {
-      const index_t i1 = r % ilen;
-      index_t blk = 1;
-      while (blk < kRowBlock && i1 + blk < ilen &&
-             (*ilist)[static_cast<std::size_t>(i1 + blk)] ==
-                 (*ilist)[static_cast<std::size_t>(i1)] + blk) {
-        ++blk;
-      }
-      groups.push_back({r, blk});
-      r += blk;
+  std::vector<Block> blocks;
+  for (index_t i0 = 0; i0 < ilen;) {
+    index_t blk = 1;
+    while (blk < kRowBlock && i0 + blk < ilen &&
+           (*ilist)[static_cast<std::size_t>(i0 + blk)] ==
+               (*ilist)[static_cast<std::size_t>(i0)] + blk) {
+      ++blk;
     }
-  } else {
-    for (index_t r = 0; r < nrows; ++r) groups.push_back({r, 1});
+    blocks.push_back({i0, blk});
+    i0 += blk;
   }
+  const auto nblocks = static_cast<index_t>(blocks.size());
+
+  const auto unb = static_cast<std::size_t>(nb);
+  const BlockGeom geom{len, static_cast<std::size_t>(ax_st), bstride,
+                       static_cast<std::size_t>(slab_elems_), unb};
 
   const std::size_t bufn = len * pad_cols(static_cast<std::size_t>(kRowBlock * nb));
-  const auto ngroups = static_cast<index_t>(groups.size());
+  const index_t ngroups = (nrows / ilen) * nblocks;
   const index_t gchunk = ngroups / (static_cast<index_t>(pool.size()) * 8) + 1;
   std::vector<aligned_vector<cfloat>> scratch(static_cast<std::size_t>(pool.size()));
   pool.parallel_for_tid(ngroups, gchunk, [&](int tid, index_t gb, index_t ge) {
     auto& buf = scratch[static_cast<std::size_t>(tid)];
     if (buf.size() < 2 * bufn) buf.resize(2 * bufn);
     for (index_t gi = gb; gi < ge; ++gi) {
-      const Group grp = groups[static_cast<std::size_t>(gi)];
-      const index_t base = row_base(grp.r0);
-      const std::size_t blk = static_cast<std::size_t>(grp.blk);
-      const std::size_t cols = pad_cols(blk * static_cast<std::size_t>(nb));
+      const Block bk = blocks[static_cast<std::size_t>(gi % nblocks)];
+      const index_t base = row_base((gi / nblocks) * ilen + bk.i0);
+      const auto blk = static_cast<std::size_t>(bk.blk);
+      const std::size_t cols = pad_cols(blk * unb);
       cfloat* cur = buf.data();
       cfloat* alt = buf.data() + len * cols;
-      // Gather: element k of (row j, slice b) at cur[k·cols + j·nb + b].
-      for (index_t b = 0; b < nb; ++b) {
-        const cfloat* p =
-            slabs + static_cast<std::size_t>(b) * static_cast<std::size_t>(slab_elems_) + base;
-        cfloat* dst = cur + static_cast<std::size_t>(b);
-        for (std::size_t k = 0; k < len; ++k) {
-          const cfloat* src = p + static_cast<index_t>(k) * ax_st;
-          cfloat* d = dst + k * cols;
-          for (std::size_t j = 0; j < blk; ++j) d[j * static_cast<std::size_t>(nb)] = src[j];
-        }
-      }
-      for (std::size_t pad = blk * static_cast<std::size_t>(nb); pad < cols; ++pad) {
+      move_block<true>(geom, slabs + base, blk, cur, cols);
+      for (std::size_t pad = blk * unb; pad < cols; ++pad) {
         for (std::size_t k = 0; k < len; ++k) cur[k * cols + pad] = cfloat(0.0f, 0.0f);
       }
       // Stages ping-pong cur ↔ alt; stride starts at `cols` (one element of
@@ -309,17 +397,7 @@ void BatchFft::axis_pass(cfloat* slabs, index_t nb, std::size_t axis, Direction 
         }
         std::swap(cur, alt);
       }
-      // Scatter the transformed rows back.
-      for (index_t b = 0; b < nb; ++b) {
-        cfloat* p =
-            slabs + static_cast<std::size_t>(b) * static_cast<std::size_t>(slab_elems_) + base;
-        const cfloat* src = cur + static_cast<std::size_t>(b);
-        for (std::size_t k = 0; k < len; ++k) {
-          cfloat* d = p + static_cast<index_t>(k) * ax_st;
-          const cfloat* s = src + k * cols;
-          for (std::size_t j = 0; j < blk; ++j) d[j] = s[j * static_cast<std::size_t>(nb)];
-        }
-      }
+      move_block<false>(geom, slabs + base, blk, cur, cols);
     }
   });
 }

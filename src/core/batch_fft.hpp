@@ -11,20 +11,26 @@
 //    coordinates (non-corner outputs are never read by grid_to_image). At
 //    α = 2 in 3D this drops the row count to (¼ + ½ + 1)/3 ≈ 58%.
 //
-//  * Column-interleaved SIMD stages. For each row position, the nb rows —
-//    one per slice — are gathered element-interleaved (element k of slice b
-//    at buf[k·nb + b]) and pushed through Stockham stages whose
-//    sub-transform stride starts at nb instead of 1. The stage arithmetic is
-//    unchanged, but the inner loop now runs over nb contiguous complex values
-//    sharing one twiddle, which vectorizes: two slices per SSE register, one
-//    twiddle load per butterfly instead of per row. Blocks of adjacent rows
-//    of a strided axis join as extra columns, so a single transform (nb = 1)
-//    fills its vectors from neighbouring rows; zeroed pad columns round the
-//    count up to the vector width.
+//  * Column-interleaved SIMD stages. Each pass moves a block of up to 8
+//    adjacent rows, times the nb slices, into a buffer element-interleaved
+//    (element k of row j, slice b at buf[k·cols + j·nb + b]) and pushes it
+//    through Stockham stages whose sub-transform stride starts at the column
+//    count instead of 1. The stage arithmetic is unchanged, but the inner
+//    loop now runs over contiguous columns sharing one twiddle, which
+//    vectorizes: one twiddle load per butterfly instead of per row, and a
+//    single transform (nb = 1) fills its vectors from neighbouring rows.
+//    A strided axis blocks rows along the contiguous dimension, so each
+//    gathered piece of a line is up to 8 complex values (64 bytes, a cache
+//    line's worth); the contiguous axis blocks rows along the next axis out,
+//    whose rows are whole grid lines. A block never crosses a gap between
+//    corner runs. The copy loops walk the slabs at unit stride in 2×2
+//    complex tiles; zeroed pad columns round a short block up to the vector
+//    width.
 //
 // Every pow2 axis of a SIMD plan takes the column stages at every nb; scalar
 // plans and Bluestein axes run rows through the per-axis Fft1d plans. The
-// forward walks the axes ascending, the inverse descending, whatever nb is.
+// forward walks the axes ascending, the inverse descending, whatever nb is;
+// each axis pass records one `nufft.fft.axis` span (arg = the axis).
 //
 // Batch-width contract: columns never mix (every lane of a stage runs the
 // same arithmetic on its own column), so slice b of an nb-slice transform

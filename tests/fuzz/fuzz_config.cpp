@@ -110,6 +110,7 @@ constexpr GridChoice kGrids2[] = {
     {2, 2.0},   // m = 4, rejected always
     {2, 1.5},   // m = 3, double wrap at W = 4
     {12, 1.5},  // m = 18, low oversampling
+    {11, 32.0 / 11},  // m = 32, pow2 with odd n: corner runs of 6 and 5 rows
 };
 constexpr GridChoice kGrids3[] = {
     {8, 2.0},   // m = 16, pow2
@@ -119,6 +120,7 @@ constexpr GridChoice kGrids3[] = {
     {7, 2.0},   // m = 14
     {2, 2.0},   // m = 4, rejected always
     {2, 1.5},   // m = 3, double wrap at W = 4
+    {7, 16.0 / 7},  // m = 16, pow2 with odd n: corner runs of 4 and 3 rows
 };
 
 constexpr double kRadii[] = {1.5, 2.0, 2.5, 3.0, 4.0};

@@ -34,13 +34,13 @@ constexpr std::uint64_t kBaseSeed = 20120521;  // the paper's conference date
 // (2W+1 = 9 > 2m = 6), where a single conditional ±m wrap still indexes out
 // of range — only the full modular wrap is correct.
 constexpr std::uint64_t kTinyGridSeed1 = 426;   // dim 1, m = 3, W = 4, 121 samples
-constexpr std::uint64_t kTinyGridSeed2 = 10;    // dim 2, m = 3, W = 4, ES Horner
-constexpr std::uint64_t kTinyGridSeed3 = 142;   // dim 3, m = 3, W = 4, clustered
+constexpr std::uint64_t kTinyGridSeed2 = 4933;  // dim 2, m = 3, W = 4, ES Horner
+constexpr std::uint64_t kTinyGridSeed3 = 2596;  // dim 3, m = 3, W = 4, clustered
 constexpr std::uint64_t kBoundarySeed1 = 4;     // dim 1, m = 128, half-integer
-constexpr std::uint64_t kBoundarySeed2 = 2;     // dim 2, m = 32, half-integer
+constexpr std::uint64_t kBoundarySeed2 = 72;    // dim 2, m = 32, half-integer
 constexpr std::uint64_t kZeroSampleSeed = 16;   // dim 1, prime m = 13, count 0
-constexpr std::uint64_t kSingleSampleSeed = 37; // dim 2, count 1, ES Horner
-constexpr std::uint64_t kPrimeGridSeed = 3;     // dim 2, m = 13 (Bluestein), batch 8
+constexpr std::uint64_t kSingleSampleSeed = 56; // dim 2, count 1, ES Horner
+constexpr std::uint64_t kPrimeGridSeed = 7422;  // dim 2, m = 13 (Bluestein), batch 8
 
 void expect_clean(std::uint64_t seed) {
   const FuzzConfig c = make_fuzz_config(seed);
@@ -95,6 +95,7 @@ TEST(FuzzRegression, BoundaryAndHalfIntegerCoordinates) {
     const FuzzConfig c = make_fuzz_config(seed);
     ASSERT_TRUE(c.style == CoordStyle::kBoundary || c.style == CoordStyle::kHalfInteger)
         << c.describe();
+    ASSERT_FALSE(c.footprint_exceeds_grid()) << c.describe();
     expect_clean(seed);
   }
 }

@@ -6,10 +6,16 @@
 //    matches fft::FftNd<double> within float rounding, forward and inverse;
 //  * the batch-width contract: slice b of an nb-slice call equals the
 //    nb = 1 call on slice b bitwise, so zero-padded columns and adjacent-row
-//    blocks never leak into a slice's arithmetic.
+//    blocks never leak into a slice's arithmetic;
+//  * pruned (the plan's corner wrap lists), on grids whose corner runs end
+//    inside, at or one past a row block (runs of 3, 6, 7, 8, 9, 13 and 14
+//    rows, and an anisotropic grid with an axis shorter than a block), the
+//    forward of a corner-confined input equals the unpruned transform on
+//    every cell and the inverse equals it on every corner cell, bitwise.
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <initializer_list>
 #include <numeric>
 #include <string>
 #include <vector>
@@ -37,6 +43,79 @@ std::vector<StagePath> stage_paths() {
   return paths;
 }
 
+std::array<std::vector<index_t>, 3> all_index_lists(const GridDesc& g) {
+  std::array<std::vector<index_t>, 3> rows;
+  for (int d = 0; d < g.dim; ++d) {
+    const auto ds = static_cast<std::size_t>(d);
+    rows[ds].resize(static_cast<std::size_t>(g.m[ds]));
+    std::iota(rows[ds].begin(), rows[ds].end(), index_t{0});
+  }
+  return rows;
+}
+
+// The plan's wrap lists: image index i of a dimension sits at grid index
+// (i − ⌊n/2⌋) mod m, so the corner rows are [0, n − ⌊n/2⌋) ∪ [m − ⌊n/2⌋, m).
+std::array<std::vector<index_t>, 3> wrap_lists(const GridDesc& g) {
+  std::array<std::vector<index_t>, 3> wrap;
+  for (int d = 0; d < g.dim; ++d) {
+    const auto ds = static_cast<std::size_t>(d);
+    for (index_t i = 0; i < g.n[ds]; ++i) {
+      const index_t c = i - g.n[ds] / 2;
+      wrap[ds].push_back(c >= 0 ? c : c + g.m[ds]);
+    }
+  }
+  return wrap;
+}
+
+// Whether every coordinate of each cell is a corner row.
+std::vector<char> corner_cells(const GridDesc& g) {
+  const auto wrap = wrap_lists(g);
+  std::array<std::vector<char>, 3> corner;
+  for (int d = 0; d < 3; ++d) {
+    const auto ds = static_cast<std::size_t>(d);
+    corner[ds].assign(static_cast<std::size_t>(d < g.dim ? g.m[ds] : 1), d < g.dim ? 0 : 1);
+    for (const index_t v : wrap[ds]) corner[ds][static_cast<std::size_t>(v)] = 1;
+  }
+  std::vector<char> cells;
+  for (std::size_t i0 = 0; i0 < corner[0].size(); ++i0) {
+    for (std::size_t i1 = 0; i1 < corner[1].size(); ++i1) {
+      for (std::size_t i2 = 0; i2 < corner[2].size(); ++i2) {
+        cells.push_back(static_cast<char>(corner[0][i0] && corner[1][i1] && corner[2][i2]));
+      }
+    }
+  }
+  return cells;
+}
+
+// The double-precision DFT of one slab.
+std::vector<cdouble> reference_dft(const GridDesc& g, const cfloat* x, fft::Direction dir,
+                                   ThreadPool& pool) {
+  std::vector<std::size_t> dims;
+  for (int d = 0; d < g.dim; ++d) dims.push_back(static_cast<std::size_t>(g.m[static_cast<std::size_t>(d)]));
+  std::vector<cdouble> y(static_cast<std::size_t>(g.grid_elems()));
+  for (std::size_t i = 0; i < y.size(); ++i) y[i] = cdouble(x[i].real(), x[i].imag());
+  fft::FftNd<double>(dims, dir).transform(y.data(), pool);
+  return y;
+}
+
+// The batch-width contract: slice b of an nb-slice call on `in` equals the
+// nb = 1 result `single[b]` bitwise.
+void expect_slices_equal_single_calls(const BatchFft& fft, const cvecf& in,
+                                      const std::vector<cvecf>& single,
+                                      std::initializer_list<index_t> nbs, fft::Direction dir,
+                                      ThreadPool& pool, bool stages, const std::string& what) {
+  const std::size_t slab = single[0].size();
+  for (const index_t nb : nbs) {
+    cvecf batch(in.begin(), in.begin() + static_cast<std::ptrdiff_t>(static_cast<std::size_t>(nb) * slab));
+    fft.transform(batch.data(), nb, dir, pool, stages);
+    for (index_t b = 0; b < nb; ++b) {
+      const auto bs = static_cast<std::size_t>(b);
+      EXPECT_EQ(std::memcmp(batch.data() + bs * slab, single[bs].data(), slab * sizeof(cfloat)), 0)
+          << what << " nb=" << nb << " slice " << b << " differs from its nb=1 call";
+    }
+  }
+}
+
 TEST(BatchFft, UnprunedMatchesFftNdAndSlicesEqualSingleCalls) {
   constexpr index_t kSlices = 5;
   for (const StagePath& path : stage_paths()) {
@@ -47,16 +126,7 @@ TEST(BatchFft, UnprunedMatchesFftNdAndSlicesEqualSingleCalls) {
         const GridDesc g = make_grid(dim, n, 2.0);
         const std::string where = std::string(path.name) + " d" + std::to_string(dim) + " m " +
                                   std::to_string(g.m[0]);
-        std::array<std::vector<index_t>, 3> all_rows;
-        std::vector<std::size_t> dims;
-        for (int d = 0; d < dim; ++d) {
-          const auto m = static_cast<std::size_t>(g.m[static_cast<std::size_t>(d)]);
-          all_rows[static_cast<std::size_t>(d)].resize(m);
-          std::iota(all_rows[static_cast<std::size_t>(d)].begin(),
-                    all_rows[static_cast<std::size_t>(d)].end(), index_t{0});
-          dims.push_back(m);
-        }
-        const BatchFft fft(g, all_rows, path.avx2);
+        const BatchFft fft(g, all_index_lists(g), path.avx2);
         const auto slab = static_cast<std::size_t>(g.grid_elems());
         const cvecf input = testing::random_image(kSlices * g.grid_elems(), 17 + dim);
         ThreadPool pool(2);
@@ -65,32 +135,92 @@ TEST(BatchFft, UnprunedMatchesFftNdAndSlicesEqualSingleCalls) {
           const std::string what = where + (dir == fft::Direction::kForward ? " fwd" : " inv");
           // Each slice alone, checked against the double-precision DFT.
           std::vector<cvecf> single(kSlices);
-          const fft::FftNd<double> ref(dims, dir);
           for (index_t b = 0; b < kSlices; ++b) {
             const auto bs = static_cast<std::size_t>(b);
             single[bs].assign(input.begin() + bs * slab, input.begin() + (bs + 1) * slab);
-            std::vector<cdouble> want(slab);
-            for (std::size_t i = 0; i < slab; ++i) {
-              want[i] = cdouble(single[bs][i].real(), single[bs][i].imag());
-            }
-            ref.transform(want.data(), pool);
+            const std::vector<cdouble> want = reference_dft(g, single[bs].data(), dir, pool);
             fft.transform(single[bs].data(), 1, dir, pool, path.stages);
             EXPECT_LT(testing::rel_err(single[bs].data(), want.data(), g.grid_elems()), kDftTol)
                 << what << " slice " << b;
           }
-          for (const index_t nb : {index_t{1}, index_t{2}, kSlices}) {
-            cvecf batch(input.begin(), input.begin() + static_cast<std::ptrdiff_t>(nb) *
-                                                           static_cast<std::ptrdiff_t>(slab));
-            fft.transform(batch.data(), nb, dir, pool, path.stages);
-            for (index_t b = 0; b < nb; ++b) {
-              const auto bs = static_cast<std::size_t>(b);
-              EXPECT_EQ(std::memcmp(batch.data() + bs * slab, single[bs].data(),
-                                    slab * sizeof(cfloat)),
-                        0)
-                  << what << " nb=" << nb << " slice " << b << " differs from its nb=1 call";
-            }
+          expect_slices_equal_single_calls(fft, input, single, {1, 2, kSlices}, dir, pool,
+                                           path.stages, what);
+        }
+      }
+    }
+  }
+}
+
+bool cells_equal(const cfloat* a, const cfloat* b, const std::vector<char>* only, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    if ((only == nullptr || (*only)[i]) && std::memcmp(a + i, b + i, sizeof(cfloat)) != 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST(BatchFft, PrunedBlocksAtCornerRunEdgesMatchUnprunedBitwise) {
+  std::vector<GridDesc> grids;
+  for (const int dim : {2, 3}) {
+    // m = 32 with runs of 7 and 6 (odd n), 8 and 8, 9 and 8; m = 16 with runs
+    // of 3 and 3, shorter than a block.
+    for (const index_t n : {13, 16, 17}) grids.push_back(make_grid(dim, n, 32.0 / static_cast<double>(n)));
+    grids.push_back(make_grid(dim, 6, 16.0 / 6.0));
+  }
+  // Anisotropic: the contiguous axis is the longest (runs of 14 and 13), the
+  // middle one shorter than a block (runs of 2 and 1).
+  GridDesc aniso;
+  aniso.dim = 3;
+  aniso.n = {16, 3, 27};
+  aniso.m = {32, 8, 64};
+  grids.push_back(aniso);
+
+  const auto sizes = [](const GridDesc& g, const std::array<index_t, 3>& v) {
+    std::string s;
+    for (int d = 0; d < g.dim; ++d) s.append(" ").append(std::to_string(v[static_cast<std::size_t>(d)]));
+    return s;
+  };
+  for (const StagePath& path : stage_paths()) {
+    for (const GridDesc& g : grids) {
+      const std::string where = std::string(path.name) + " m" + sizes(g, g.m) + " n" + sizes(g, g.n);
+      const BatchFft pruned(g, wrap_lists(g), path.avx2);
+      const BatchFft full(g, all_index_lists(g), path.avx2);
+      const auto slab = static_cast<std::size_t>(g.grid_elems());
+      const std::vector<char> corner = corner_cells(g);
+      ThreadPool pool(2);
+      constexpr index_t kMaxSlices = 16;
+      const cvecf input = testing::random_image(kMaxSlices * g.grid_elems(), 23);
+
+      for (const fft::Direction dir : {fft::Direction::kForward, fft::Direction::kInverse}) {
+        const bool fwd = dir == fft::Direction::kForward;
+        const std::string what = where + (fwd ? " fwd" : " inv");
+        // The forward reads corner-confined slabs (the rows it skips are
+        // zero); the inverse reads full ones and is read back on corners.
+        cvecf in = input;
+        if (fwd) {
+          for (std::size_t i = 0; i < in.size(); ++i) {
+            if (!corner[i % slab]) in[i] = cfloat(0.0f, 0.0f);
           }
         }
+        std::vector<cvecf> single(kMaxSlices);
+        for (index_t b = 0; b < kMaxSlices; ++b) {
+          const auto bs = static_cast<std::size_t>(b);
+          single[bs].assign(in.begin() + static_cast<std::ptrdiff_t>(bs * slab),
+                            in.begin() + static_cast<std::ptrdiff_t>((bs + 1) * slab));
+          cvecf want = single[bs];
+          pruned.transform(single[bs].data(), 1, dir, pool, path.stages);
+          full.transform(want.data(), 1, dir, pool, path.stages);
+          EXPECT_TRUE(cells_equal(single[bs].data(), want.data(), fwd ? nullptr : &corner, slab))
+              << what << " slice " << b << ": pruned differs from unpruned";
+        }
+        if (fwd) {
+          // And the transform itself is the DFT of the slice.
+          const std::vector<cdouble> ref = reference_dft(g, in.data(), dir, pool);
+          EXPECT_LT(testing::rel_err(single[0].data(), ref.data(), g.grid_elems()), kDftTol) << what;
+        }
+        expect_slices_equal_single_calls(pruned, in, single, {1, 2, 3, 5, 8, 16}, dir, pool,
+                                         path.stages, what);
       }
     }
   }

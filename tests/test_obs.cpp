@@ -509,6 +509,72 @@ TEST(Trace, BatchAdjointSpanSumMatchesStats) {
   }
 }
 
+// The FFT splits by axis: every axis pass of a transform records one
+// nufft.fft.axis span (arg = the axis) inside the apply's nufft.fft span, in
+// the pass order — ascending for the forward, descending for the adjoint.
+TEST(Trace, FftAxisSpansSplitTheFftSpanByAxis) {
+  ObsGuard guard;
+  struct Case {
+    int dim;
+    index_t n;
+    std::vector<std::int64_t> fwd_axes;
+    std::vector<std::int64_t> adj_axes;
+  };
+  for (const Case& c : {Case{3, 16, {0, 1, 2}, {2, 1, 0}}, Case{1, 64, {0}, {0}}}) {
+    const GridDesc g = make_grid(c.dim, c.n, 2.0);
+    const auto set = testing::small_trajectory(TrajectoryType::kRandom, c.dim, c.n, 500);
+    PlanConfig cfg;
+    cfg.threads = 2;
+    Nufft plan(g, set, cfg);
+    const cvecf img = testing::random_image(g.image_elems(), 8);
+    const cvecf raw = testing::random_raw(set.count(), 9);
+    cvecf raw_out(raw.size());
+    cvecf img_out(img.size());
+
+    for (const bool fwd : {true, false}) {
+      obs::set_trace_enabled(true);
+      obs::reset_spans();
+      if (fwd) {
+        plan.forward(img.data(), raw_out.data());
+      } else {
+        plan.adjoint(raw.data(), img_out.data());
+      }
+      const auto spans = obs::drain_spans();
+      std::vector<obs::SpanEvent> axes;
+      std::vector<obs::SpanEvent> ffts;
+      for (const auto& s : spans) {
+        if (std::string_view(s.name) == "nufft.fft.axis") axes.push_back(s);
+        if (std::string_view(s.name) == "nufft.fft") ffts.push_back(s);
+      }
+      const std::string what = "dim " + std::to_string(c.dim) + (fwd ? " forward" : " adjoint");
+      ASSERT_EQ(ffts.size(), 1u) << what;
+      std::sort(axes.begin(), axes.end(),
+                [](const obs::SpanEvent& a, const obs::SpanEvent& b) { return a.t0_ns < b.t0_ns; });
+      std::vector<std::int64_t> order;
+      for (const auto& a : axes) {
+        order.push_back(a.arg);
+        EXPECT_STREQ(a.cat, "core") << what;
+        EXPECT_EQ(a.tid, ffts[0].tid) << what;
+        EXPECT_GE(a.t0_ns, ffts[0].t0_ns) << what << " axis " << a.arg;
+        EXPECT_LE(a.t1_ns, ffts[0].t1_ns) << what << " axis " << a.arg;
+      }
+      EXPECT_EQ(order, fwd ? c.fwd_axes : c.adj_axes) << what;
+
+      // Tracing off: the span sites record nothing.
+      obs::set_trace_enabled(false);
+      obs::reset_spans();
+      if (fwd) {
+        plan.forward(img.data(), raw_out.data());
+      } else {
+        plan.adjoint(raw.data(), img_out.data());
+      }
+      for (const auto& s : obs::drain_spans()) {
+        EXPECT_NE(std::string_view(s.name), "nufft.fft.axis") << what << " with tracing off";
+      }
+    }
+  }
+}
+
 // --- engine / registry counters ---------------------------------------------
 
 TEST(Metrics, EngineAndRegistryCountersMirrorStats) {
