@@ -50,7 +50,7 @@ int main() {
                           set.coords[2][static_cast<std::size_t>(p)]};
         compute_window(g, lut, coord, 3, true, wb);
         cfloat out;
-        gather_slices_sse<3, 1>(grid.data(), 0, 1, st, wb, &out);
+        gather_slices<ConvBackend::kSse, 3, 1>(grid.data(), 0, 1, st, wb, &out);
         acc += out;
       }
       sink = sink + acc.real();

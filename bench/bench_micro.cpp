@@ -8,6 +8,7 @@
 #include "common.hpp"
 #include "core/batch_conv.hpp"
 #include "core/convolution.hpp"
+#include "core/convolution_avx2.hpp"
 #include "fft/fft1d.hpp"
 #include "fft/fftnd.hpp"
 #include "kernels/bessel.hpp"
@@ -149,7 +150,20 @@ void BM_ComputeWindow3d(benchmark::State& state) {
 }
 BENCHMARK(BM_ComputeWindow3d)->Arg(2)->Arg(4)->Arg(8);
 
+// Part 2 of one 3-D sample at slice-group width 1, as a single apply runs
+// it: args {W, the AVX2 instantiation (1) or the SSE one (0)}.
+bool skip_without_isa(benchmark::State& state) {
+  if (state.range(1) != 0 && !avx2_available()) {
+    state.SkipWithError("CPU does not support AVX2 + FMA");
+    return true;
+  }
+  return false;
+}
+
 void BM_ScatterSimd3d(benchmark::State& state) {
+  if (skip_without_isa(state)) return;
+  const auto scatter = state.range(1) != 0 ? &scatter_slices<ConvBackend::kAvx2, 3, 1>
+                                           : &scatter_slices<ConvBackend::kSse, 3, 1>;
   const GridDesc g = make_grid(3, 64, 2.0);
   const auto kb = kernels::KaiserBessel::with_beatty_beta(
       static_cast<double>(state.range(0)), 2.0);
@@ -161,13 +175,16 @@ void BM_ScatterSimd3d(benchmark::State& state) {
   compute_window(g, lut, coord, 3, true, wb);
   for (auto _ : state) {
     const cfloat val(1.0f, -1.0f);
-    scatter_slices_sse<3, 1>(grid.data(), 0, 1, st, wb, &val);
+    scatter(grid.data(), 0, 1, st, wb, &val);
     benchmark::DoNotOptimize(grid.data());
   }
 }
-BENCHMARK(BM_ScatterSimd3d)->Arg(2)->Arg(4)->Arg(8);
+BENCHMARK(BM_ScatterSimd3d)->ArgsProduct({{2, 4, 8}, {0, 1}});
 
 void BM_GatherSimd3d(benchmark::State& state) {
+  if (skip_without_isa(state)) return;
+  const auto gather = state.range(1) != 0 ? &gather_slices<ConvBackend::kAvx2, 3, 1>
+                                          : &gather_slices<ConvBackend::kSse, 3, 1>;
   const GridDesc g = make_grid(3, 64, 2.0);
   const auto kb = kernels::KaiserBessel::with_beatty_beta(
       static_cast<double>(state.range(0)), 2.0);
@@ -179,11 +196,11 @@ void BM_GatherSimd3d(benchmark::State& state) {
   compute_window(g, lut, coord, 3, true, wb);
   for (auto _ : state) {
     cfloat out;
-    gather_slices_sse<3, 1>(grid.data(), 0, 1, st, wb, &out);
+    gather(grid.data(), 0, 1, st, wb, &out);
     benchmark::DoNotOptimize(out);
   }
 }
-BENCHMARK(BM_GatherSimd3d)->Arg(2)->Arg(4)->Arg(8);
+BENCHMARK(BM_GatherSimd3d)->ArgsProduct({{2, 4, 8}, {0, 1}});
 
 void BM_CumulativeHistogram(benchmark::State& state) {
   const auto row = bench::default_row_scaled();

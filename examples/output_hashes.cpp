@@ -9,9 +9,13 @@
 // avx2} × {d1 m1024, d2 m96, d2 m64, d3 m32} × {kb.lut, es.horner} ×
 // pool {1, 3} — with the hashes of the forward and adjoint of a single
 // apply (nb = 1) and of an 8-slice apply (nb = 8), and on 2-D and 3-D grids
-// of an 8-slice ToeplitzNormal::apply (`toep8`). The last line hashes every
-// line above it. Rows for AVX2 print "skipped" on CPUs without AVX2+FMA, so
-// compare files from one host.
+// of an 8-slice ToeplitzNormal::apply (`toep8`). Then one `sse.stages` line
+// per power-of-two grid: the SSE-width FFT column stages alone (BatchFft
+// with avx2 = false, the plan's corner wrap lists), forward and inverse at
+// nb = 1 and 8; plans take the AVX2 stages on an AVX2 host, so no line
+// above runs these there. The last line hashes every line above it. Rows
+// for AVX2 print "skipped" on CPUs without AVX2+FMA, so compare files from
+// one host.
 //
 // The grids cover both FFT routes: m = 96 runs Bluestein rows, the others
 // are powers of two and run the column stages (m = 64 is the 2-D transform
@@ -20,11 +24,13 @@
 // (3-D) bind constexpr-W variants, ES/Horner at W = 4.5 (1-D) binds the
 // runtime-W one. Every plan holds a few thousand variable-density samples,
 // so its tasks run several value blocks.
+#include <array>
 #include <cstdint>
 #include <cstdio>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "core/batch_fft.hpp"
 #include "core/convolution_avx2.hpp"
 #include "core/nufft.hpp"
 #include "core/toeplitz.hpp"
@@ -138,6 +144,46 @@ PlanConfig config_for(const Backend& backend, int dim, bool horner, int threads)
   return cfg;
 }
 
+/// The plan's wrap lists: image index i of a dimension sits at grid index
+/// (i − ⌊n/2⌋) mod m.
+std::array<std::vector<index_t>, 3> wrap_lists(const GridDesc& g) {
+  std::array<std::vector<index_t>, 3> wrap;
+  for (int d = 0; d < g.dim; ++d) {
+    const auto ds = static_cast<std::size_t>(d);
+    for (index_t i = 0; i < g.n[ds]; ++i) {
+      const index_t c = i - g.n[ds] / 2;
+      wrap[ds].push_back(c >= 0 ? c : c + g.m[ds]);
+    }
+  }
+  return wrap;
+}
+
+/// The SSE-width column stages: forward at nb = 1 and kBatch, then inverse.
+std::vector<std::uint64_t> run_sse_stages(const GridDesc& g) {
+  const BatchFft fft(g, wrap_lists(g), /*avx2=*/false);
+  ThreadPool pool(1);
+  const index_t slab = g.grid_elems();
+  const cvecf input = random_values(kBatch * slab, 13);
+  std::vector<std::uint64_t> h;
+  for (const fft::Direction dir : {fft::Direction::kForward, fft::Direction::kInverse}) {
+    for (const index_t nb : {index_t{1}, kBatch}) {
+      cvecf x(input.begin(), input.begin() + nb * slab);
+      fft.transform(x.data(), nb, dir, pool, /*batched_stages=*/true);
+      h.push_back(fnv1a(x.data(), nb * slab));
+    }
+  }
+  return h;
+}
+
+void fold_into(std::uint64_t& all, const std::vector<std::uint64_t>& line) {
+  for (const std::uint64_t x : line) {
+    for (int i = 0; i < 8; ++i) {
+      all ^= (x >> (8 * i)) & 0xffu;
+      all *= 0x100000001b3ull;
+    }
+  }
+}
+
 }  // namespace
 
 int main() {
@@ -168,15 +214,20 @@ int main() {
           std::printf(" %s\n", plan.plan_stats().conv_variant.c_str());
           std::vector<std::uint64_t> line{h.fwd1, h.adj1, h.fwd8, h.adj8};
           if (toeplitz) line.push_back(h.toep8);
-          for (const std::uint64_t x : line) {
-            for (int i = 0; i < 8; ++i) {
-              all ^= (x >> (8 * i)) & 0xffu;
-              all *= 0x100000001b3ull;
-            }
-          }
+          fold_into(all, line);
         }
       }
     }
+  }
+  for (const Shape& shape : kShapes) {
+    const GridDesc g = make_grid(shape.dim, shape.n, 2.0);
+    if (!fft::is_pow2(static_cast<std::size_t>(g.m[0]))) continue;  // Bluestein: no stages
+    const std::vector<std::uint64_t> h = run_sse_stages(g);
+    std::printf("sse.stages d%d m%-4lld fwd1=%016llx fwd8=%016llx inv1=%016llx inv8=%016llx\n",
+                shape.dim, static_cast<long long>(g.m[0]), static_cast<unsigned long long>(h[0]),
+                static_cast<unsigned long long>(h[1]), static_cast<unsigned long long>(h[2]),
+                static_cast<unsigned long long>(h[3]));
+    fold_into(all, h);
   }
   std::printf("all    %016llx\n", static_cast<unsigned long long>(all));
   return 0;

@@ -1,5 +1,8 @@
-// SIMD Part-2 convolution kernels: the one kernel family of each SIMD
-// backend, behind every dispatch variant (core/conv_variants.hpp).
+// SIMD Part-2 convolution kernels behind every SIMD dispatch variant
+// (core/conv_variants.hpp): one template over the vector type
+// (core/batch_conv_simd.hpp), instantiated for SSE with simd::Vec4f in
+// batch_conv.cpp and for AVX2+FMA with simd::Vec8f in batch_conv_avx2.cpp.
+// The widths round alike except in madd, which is fused on AVX2 only.
 //
 // A kernel weights G values — one per batch slice — through the *same*
 // interpolation window into G slab-contiguous grids. G is the slice-group
@@ -13,10 +16,11 @@
 // premultiplied as w·wxy (contiguous and wrapped rows alike), the gather
 // sums each row into a fresh vector before adding it to the slice's vector
 // accumulator (so at G = 1 the rows are independent dependency chains) and
-// pair-sums that accumulator once per sample, and vector lanes never mix
+// folds that accumulator once per sample, and vector lanes never mix
 // slices. So slice b of a G-wide call equals a width-1 call on slice b's
 // data bitwise. The SSE adjoint also equals the scalar adj_scatter_scalar
-// (core/convolution.hpp) bitwise.
+// (core/convolution.hpp) bitwise, and the tests pin both instantiations to
+// a scalar model of their lane arithmetic.
 //
 // Slabs are batch-major: slice b lives at slab0 + b·slab_stride.
 #pragma once
@@ -25,6 +29,7 @@
 #include <cstddef>
 
 #include "common/types.hpp"
+#include "core/conv_dispatch.hpp"
 #include "core/convolution.hpp"
 
 namespace nufft {
@@ -37,28 +42,18 @@ inline constexpr index_t kMaxBatch = 16;
 /// G = kSlabGroup.
 inline constexpr int kSlabGroup = 8;
 
-/// Adjoint (scatter): add vals[b]·weights into slab b, for b < nb ≤ G.
-template <int DIM, int G>
-void scatter_slices_sse(cfloat* slab0, std::size_t slab_stride, index_t nb,
-                        const std::array<index_t, 3>& strides, const WindowBuf& wb,
-                        const cfloat* vals);
+/// Adjoint (scatter): add vals[b]·weights into slab b, for b < nb ≤ G. One
+/// template over the SIMD backend B ∈ {kSse, kAvx2}; kAvx2 requires
+/// avx2_available() (core/convolution_avx2.hpp).
+template <ConvBackend B, int DIM, int G>
+void scatter_slices(cfloat* slab0, std::size_t slab_stride, index_t nb,
+                    const std::array<index_t, 3>& strides, const WindowBuf& wb,
+                    const cfloat* vals);
 
 /// Forward (gather): outs[b] = Σ window cells of slab b, for b < nb ≤ G.
-template <int DIM, int G>
-void gather_slices_sse(const cfloat* slab0, std::size_t slab_stride, index_t nb,
-                       const std::array<index_t, 3>& strides, const WindowBuf& wb,
-                       cfloat* outs);
-
-/// AVX2+FMA variants (gate on avx2_available(), core/convolution_avx2.hpp).
-template <int DIM, int G>
-void scatter_slices_avx2(cfloat* slab0, std::size_t slab_stride, index_t nb,
-                         const std::array<index_t, 3>& strides, const WindowBuf& wb,
-                         const cfloat* vals);
-
-template <int DIM, int G>
-void gather_slices_avx2(const cfloat* slab0, std::size_t slab_stride, index_t nb,
-                        const std::array<index_t, 3>& strides, const WindowBuf& wb,
-                        cfloat* outs);
+template <ConvBackend B, int DIM, int G>
+void gather_slices(const cfloat* slab0, std::size_t slab_stride, index_t nb,
+                   const std::array<index_t, 3>& strides, const WindowBuf& wb, cfloat* outs);
 
 namespace detail {
 

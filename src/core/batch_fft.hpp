@@ -25,7 +25,9 @@
 //    whose rows are whole grid lines. A block never crosses a gap between
 //    corner runs. The copy loops walk the slabs at unit stride in 2×2
 //    complex tiles; zeroed pad columns round a short block up to the vector
-//    width.
+//    width. The stages are one template over the vector type
+//    (core/batch_fft_stages.hpp), run at SSE width (2 complex columns per op)
+//    or AVX2 width (4, with the complex multiply's first product fused).
 //
 // Every pow2 axis of a SIMD plan takes the column stages at every nb; scalar
 // plans and Bluestein axes run rows through the per-axis Fft1d plans. The
@@ -53,7 +55,7 @@ class BatchFft {
  public:
   /// Plans every axis of `g` in both directions. `wrap[d]` maps image index
   /// → grid index along dim d; the rows it hits are the corner rows. `avx2`
-  /// picks the AVX2 column stages over the SSE ones (it requires
+  /// runs the column stages at AVX2 width instead of SSE width (it requires
   /// avx2_available()); plans take the widest the CPU runs.
   BatchFft(const GridDesc& g, const std::array<std::vector<index_t>, 3>& wrap,
            bool avx2 = avx2_available());

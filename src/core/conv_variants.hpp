@@ -15,15 +15,16 @@
 //      TU built with -mavx2 -mfma the compiler may contract the a·b+c shapes
 //      in the window/weight arithmetic (the Horner row's multiply-then-add
 //      included) into FMA, which changes rounding. AVX2 work is reached only
-//      through the *extern* Part-2 kernels of core/batch_conv_avx2.cpp,
-//      which were themselves audited for lane-exactness; Part 1 has no AVX2
-//      code — every backend runs the one SSE Horner row (kernels/horner.hpp).
+//      through the *extern* AVX2 instantiation of the Part-2 kernels in
+//      core/batch_conv_avx2.cpp, which is built with contraction off and
+//      pinned to a lane model in the tests; Part 1 has no AVX2 code — every
+//      backend runs the one SSE Horner row (kernels/horner.hpp).
 //
 // Batch width: nb picks no kernel, only the slice-group width G of the
-// backend's one Part-2 kernel family (core/batch_conv.hpp; scalar plans run
-// adj_scatter_scalar / fwd_gather_scalar per slab). A single apply runs
-// G = 1 per sample; a batch stages the windows of kSampleBlock samples once
-// and sweeps them over kSlabGroup slabs at a time. At either width the
+// backend's Part-2 kernels (core/batch_conv.hpp, one template over the
+// vector width; scalar plans run adj_scatter_scalar / fwd_gather_scalar per
+// slab). A single apply runs G = 1 per sample; a batch stages the windows of
+// kSampleBlock samples once and sweeps them over kSlabGroup slabs at a time. At either width the
 // sample values move between caller order and plan order in blocks (see
 // spread_loop), which changes no arithmetic. Every slice runs the same
 // arithmetic at either width, so slice b of an nb-slice call equals the
@@ -89,8 +90,9 @@ template <int DIM>
 }
 
 /// Part 2 of one sample over nb ≤ G slabs (slab b at slab0 + b·slab_stride):
-/// the backend's one kernel family at slice-group width G. The scalar
-/// backend runs its single-slab kernel per slab.
+/// a SIMD backend's instantiation of the one SIMD kernel template at
+/// slice-group width G; the scalar backend runs its single-slab kernel per
+/// slab.
 template <ConvBackend B, int DIM, int G>
 [[gnu::always_inline]] inline void scatter(cfloat* slab0, std::size_t slab_stride, index_t nb,
                                            const std::array<index_t, 3>& strides,
@@ -100,10 +102,8 @@ template <ConvBackend B, int DIM, int G>
       adj_scatter_scalar<DIM>(slab0 + static_cast<std::size_t>(b) * slab_stride, strides, wb,
                               vals[b]);
     }
-  } else if constexpr (B == ConvBackend::kSse) {
-    scatter_slices_sse<DIM, G>(slab0, slab_stride, nb, strides, wb, vals);
   } else {
-    scatter_slices_avx2<DIM, G>(slab0, slab_stride, nb, strides, wb, vals);
+    scatter_slices<B, DIM, G>(slab0, slab_stride, nb, strides, wb, vals);
   }
 }
 
@@ -116,10 +116,8 @@ template <ConvBackend B, int DIM, int G>
       outs[b] = fwd_gather_scalar<DIM>(slab0 + static_cast<std::size_t>(b) * slab_stride,
                                        strides, wb);
     }
-  } else if constexpr (B == ConvBackend::kSse) {
-    gather_slices_sse<DIM, G>(slab0, slab_stride, nb, strides, wb, outs);
   } else {
-    gather_slices_avx2<DIM, G>(slab0, slab_stride, nb, strides, wb, outs);
+    gather_slices<B, DIM, G>(slab0, slab_stride, nb, strides, wb, outs);
   }
 }
 

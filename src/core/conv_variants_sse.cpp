@@ -1,5 +1,5 @@
-// SSE-backend variant instantiations. Part 2 routes to the scatter_slices_sse
-// / gather_slices_sse kernels of core/batch_conv.cpp at slice-group width 1
+// SSE-backend variant instantiations. Part 2 routes to the SSE instantiation
+// of scatter_slices / gather_slices (core/batch_conv.cpp) at slice-group width 1
 // or kSlabGroup (baseline SSE — the TU itself stays baseline-compiled; see
 // the FP-contraction note in conv_variants.hpp).
 #include "core/conv_variants.hpp"

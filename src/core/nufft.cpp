@@ -28,6 +28,18 @@ inline index_t wrap_coord(index_t v, index_t m) {
   return v;
 }
 
+// Rejects a sample set that is degenerate (NaN/Inf or out-of-range
+// coordinates would silently corrupt the histogram pass) or was generated
+// for another grid. Every path that takes new samples runs it first.
+void check_samples(const GridDesc& g, const datasets::SampleSet& samples) {
+  datasets::validate_samples(samples);
+  NUFFT_CHECK(samples.dim == g.dim);
+  for (int d = 0; d < g.dim; ++d) {
+    NUFFT_CHECK_MSG(samples.m == g.m[static_cast<std::size_t>(d)],
+                    "sample set generated for a different grid size");
+  }
+}
+
 }  // namespace
 
 Nufft::Nufft(const GridDesc& g, const datasets::SampleSet& samples, const PlanConfig& cfg)
@@ -40,14 +52,7 @@ Nufft::Nufft(const GridDesc& g, const datasets::SampleSet& samples, const PlanCo
   // check and table below sees the resolved width/eval. Deterministic, so a
   // restored plan preprocessed under the same cfg resolves identically.
   apply_tolerance(cfg_, g.alpha);
-  // Reject degenerate input before preprocessing touches it: NaN/Inf or
-  // out-of-range coordinates would silently corrupt the histogram pass.
-  datasets::validate_samples(samples);
-  NUFFT_CHECK(samples.dim == g.dim);
-  for (int d = 0; d < g.dim; ++d) {
-    NUFFT_CHECK_MSG(samples.m == g.m[static_cast<std::size_t>(d)],
-                    "sample set generated for a different grid size");
-  }
+  check_samples(g, samples);
   // A kernel footprint wider than the grid would make one sample revisit
   // grid cells and the rolloff correction meaningless; reject it for every
   // construction path — in particular the restored-plan constructor below,
@@ -153,12 +158,7 @@ Nufft::Nufft(const Nufft& src, const datasets::SampleSet& new_samples, const Upd
     : g_(src.g_),
       cfg_(src.cfg_),  // already tolerance-resolved — do NOT re-apply
       nsamples_(new_samples.count()) {
-  datasets::validate_samples(new_samples);
-  NUFFT_CHECK(new_samples.dim == g_.dim);
-  for (int d = 0; d < g_.dim; ++d) {
-    NUFFT_CHECK_MSG(new_samples.m == g_.m[static_cast<std::size_t>(d)],
-                    "sample set generated for a different grid size");
-  }
+  check_samples(g_, new_samples);
   pool_ = std::make_unique<ThreadPool>(cfg_.threads);
   pp_ = clone_preprocessed(src.pp_);
   const UpdatePath path = update_preprocessed(pp_, g_, new_samples, cfg_, *pool_, opts);
@@ -183,12 +183,7 @@ Nufft::Nufft(const Nufft& src, const datasets::SampleSet& new_samples, const Upd
 
 UpdatePath Nufft::update_samples(const datasets::SampleSet& new_samples,
                                  const UpdateOptions& opts) {
-  datasets::validate_samples(new_samples);
-  NUFFT_CHECK(new_samples.dim == g_.dim);
-  for (int d = 0; d < g_.dim; ++d) {
-    NUFFT_CHECK_MSG(new_samples.m == g_.m[static_cast<std::size_t>(d)],
-                    "sample set generated for a different grid size");
-  }
+  check_samples(g_, new_samples);
   const UpdatePath path = update_preprocessed(pp_, g_, new_samples, cfg_, *pool_, opts);
   if (path == UpdatePath::kNoop) return path;
   nsamples_ = new_samples.count();

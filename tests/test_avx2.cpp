@@ -1,6 +1,7 @@
-// Tests for the AVX2 (8-wide FMA) convolution extension; the kernels run at
-// slice-group width 1, as a single apply runs them. All tests skip on CPUs
-// without AVX2+FMA.
+// Tests for the AVX2 (8-wide FMA) convolution extension: the kernels against
+// SSE to rounding and against a model of their lane arithmetic bitwise, at
+// slice-group width 1 as a single apply runs them, and AVX2 plans end to end.
+// The kernel tests skip on CPUs without AVX2+FMA.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -71,6 +72,14 @@ TEST_P(Avx2Kernels, GatherMatchesSse) {
     const cfloat v = testing::gather1(Part2::kAvx2, dim, grid.data(), st, wb);
     ASSERT_NEAR(std::abs(s - v), 0.0, 1e-4 * (1.0 + std::abs(s)));
   }
+}
+
+// The AVX2 kernels' lanes, bitwise: four complex values per vector, fused
+// multiply-add, with the tail cells and the scalar parts rounding as in the
+// SSE kernels.
+TEST(Part2LaneModel, Avx2KernelsMatchBitwise) {
+  SKIP_WITHOUT_AVX2();
+  testing::expect_part2_matches_lane_model(Part2::kAvx2, 8, /*fused=*/true);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, Avx2Kernels,

@@ -7,6 +7,9 @@
 //  * the batch-width contract: slice b of an nb-slice call equals the
 //    nb = 1 call on slice b bitwise, so zero-padded columns and adjacent-row
 //    blocks never leak into a slice's arithmetic;
+//  * both instantiations of the column-stage template, bitwise: the SSE
+//    stages equal the per-row Fft1d path, the AVX2 stages a scalar model of
+//    their lane arithmetic;
 //  * pruned (the plan's corner wrap lists), on grids whose corner runs end
 //    inside, at or one past a row block (runs of 3, 6, 7, 8, 9, 13 and 14
 //    rows, and an anisotropic grid with an axis shorter than a block), the
@@ -14,6 +17,7 @@
 //    every cell and the inverse equals it on every corner cell, bitwise.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 #include <initializer_list>
 #include <numeric>
@@ -23,6 +27,7 @@
 #include "core/batch_fft.hpp"
 #include "core/convolution_avx2.hpp"
 #include "fft/fftnd.hpp"
+#include "fft/twiddle.hpp"
 #include "test_util.hpp"
 
 namespace nufft {
@@ -142,11 +147,107 @@ TEST(BatchFft, UnprunedMatchesFftNdAndSlicesEqualSingleCalls) {
             fft.transform(single[bs].data(), 1, dir, pool, path.stages);
             EXPECT_LT(testing::rel_err(single[bs].data(), want.data(), g.grid_elems()), kDftTol)
                 << what << " slice " << b;
+            if (path.stages && !path.avx2 && pow2) {
+              // The SSE column stages round as the per-row Fft1d path does.
+              cvecf rows(input.begin() + bs * slab, input.begin() + (bs + 1) * slab);
+              fft.transform(rows.data(), 1, dir, pool, /*batched_stages=*/false);
+              EXPECT_EQ(std::memcmp(single[bs].data(), rows.data(), slab * sizeof(cfloat)), 0)
+                  << what << " slice " << b << ": SSE stages differ from the Fft1d rows";
+            }
           }
           expect_slices_equal_single_calls(fft, input, single, {1, 2, kSlices}, dir, pool,
                                            path.stages, what);
         }
       }
+    }
+  }
+}
+
+// A scalar model of one AVX2 column-stage lane: Fft1d's Stockham plan
+// (radix-4 stages, one trailing radix-2) over fft::make_twiddles, with
+// x·w = (fma(xr, wr, −xi·wi), fma(xi, wr, xr·wi)) and the twiddle powers
+// w², w³ as plain complex products, rounded after each operation.
+cfloat fused_twiddle(cfloat x, cfloat w) {
+  return cfloat(std::fma(x.real(), w.real(), -(x.imag() * w.imag())),
+                std::fma(x.imag(), w.real(), x.real() * w.imag()));
+}
+
+cfloat plain_product(cfloat a, cfloat b) {
+  return cfloat(a.real() * b.real() - a.imag() * b.imag(),
+                a.real() * b.imag() + a.imag() * b.real());
+}
+
+void stockham_lane_model(std::vector<cfloat>& x, int sign) {
+  std::vector<cfloat> y(x.size());
+  std::size_t s = 1;
+  for (std::size_t nn = x.size(); nn > 1;) {
+    const std::size_t radix = nn % 4 == 0 ? 4 : 2;
+    const std::size_t m = nn / radix;
+    const auto tw = fft::make_twiddles<float>(m, nn, sign);
+    for (std::size_t p = 0; p < m; ++p) {
+      const cfloat w1 = tw[p];
+      const cfloat w2 = plain_product(w1, w1);
+      const cfloat w3 = plain_product(w2, w1);
+      for (std::size_t q = 0; q < s; ++q) {
+        const auto in = [&](std::size_t k) { return x[q + s * (p + k * m)]; };
+        const auto out = [&](std::size_t k) -> cfloat& { return y[q + s * (radix * p + k)]; };
+        if (radix == 2) {
+          out(0) = in(0) + in(1);
+          out(1) = fused_twiddle(in(0) - in(1), w1);
+          continue;
+        }
+        const cfloat apc = in(0) + in(2), amc = in(0) - in(2);
+        const cfloat bpd = in(1) + in(3), bmd = in(1) - in(3);
+        const cfloat jb = sign < 0 ? cfloat(bmd.imag(), -bmd.real())   // sign·i·(b−d)
+                                   : cfloat(-bmd.imag(), bmd.real());
+        out(0) = apc + bpd;
+        out(1) = fused_twiddle(amc + jb, w1);
+        out(2) = fused_twiddle(apc - bpd, w2);
+        out(3) = fused_twiddle(amc - jb, w3);
+      }
+    }
+    x.swap(y);
+    nn /= radix;
+    s *= radix;
+  }
+}
+
+// The lane model on every row of every axis, in BatchFft's axis order.
+void stage_lane_model(const GridDesc& g, cfloat* x, fft::Direction dir) {
+  const auto st = g.grid_strides();
+  const int sign = dir == fft::Direction::kForward ? -1 : 1;
+  for (int i = 0; i < g.dim; ++i) {
+    const auto a = static_cast<std::size_t>(dir == fft::Direction::kForward ? i : g.dim - 1 - i);
+    std::vector<cfloat> row(static_cast<std::size_t>(g.m[a]));
+    for (index_t base = 0; base < g.grid_elems(); ++base) {
+      if ((base / st[a]) % g.m[a] != 0) continue;  // not the first cell of a row
+      for (std::size_t k = 0; k < row.size(); ++k) row[k] = x[base + static_cast<index_t>(k) * st[a]];
+      stockham_lane_model(row, sign);
+      for (std::size_t k = 0; k < row.size(); ++k) x[base + static_cast<index_t>(k) * st[a]] = row[k];
+    }
+  }
+}
+
+// The AVX2 stages compute the lane model bitwise: their only fused
+// operations are the vector FMAs of x·w, so w² and w³ round as in the SSE
+// stages and Fft1d.
+TEST(BatchFft, Avx2StagesMatchLaneModelBitwise) {
+  if (!avx2_available()) GTEST_SKIP() << "CPU does not support AVX2 + FMA";
+  // m = 8 and 32 end in a radix-2 stage.
+  const std::pair<int, index_t> shapes[] = {{1, 4}, {1, 16}, {1, 512}, {2, 16},
+                                            {2, 32}, {3, 8},  {3, 16}};
+  ThreadPool pool(2);
+  for (const auto& [dim, n] : shapes) {
+    const GridDesc g = make_grid(dim, n, 2.0);
+    const BatchFft fft(g, all_index_lists(g), /*avx2=*/true);
+    const cvecf input = testing::random_image(g.grid_elems(), 29 + n);
+    for (const fft::Direction dir : {fft::Direction::kForward, fft::Direction::kInverse}) {
+      cvecf got = input;
+      fft.transform(got.data(), 1, dir, pool, /*batched_stages=*/true);
+      cvecf want = input;
+      stage_lane_model(g, want.data(), dir);
+      EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(cfloat)), 0)
+          << "d" << dim << " m " << g.m[0] << (dir == fft::Direction::kForward ? " fwd" : " inv");
     }
   }
 }

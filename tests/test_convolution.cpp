@@ -1,6 +1,7 @@
 // Tests for the convolution window (Part 1) and gather/scatter kernels
 // (Part 2): correctness against a brute-force reference, wrap handling,
-// scalar-vs-SIMD agreement (bitwise for the adjoint). The SIMD kernels run at
+// scalar-vs-SIMD agreement (bitwise for the adjoint), and the SSE kernels
+// against a model of their lane arithmetic (bitwise). The SIMD kernels run at
 // slice-group width 1, as a single apply runs them.
 #include <gtest/gtest.h>
 
@@ -260,6 +261,13 @@ INSTANTIATE_TEST_SUITE_P(Sweep, ScalarVsSimd,
                          ::testing::Combine(::testing::Values(1, 2, 3),
                                             ::testing::Values(2.0, 4.0, 8.0)),
                          svs_name);
+
+// The SSE kernels' lanes, bitwise: two complex values per vector, multiply
+// then add. The adjoint is also pinned to the scalar kernel above; the
+// forward only to rounding, since its lane sums fold in another order.
+TEST(Part2LaneModel, SseKernelsMatchBitwise) {
+  testing::expect_part2_matches_lane_model(Part2::kSse, 4, /*fused=*/false);
+}
 
 TEST(Window, TinyGridWrapsEveryIndexIntoRange) {
   // Regression: a kernel footprint wider than TWO grid periods

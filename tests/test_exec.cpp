@@ -132,7 +132,7 @@ class BatchSimdEquivalence : public ::testing::TestWithParam<std::tuple<int, Sim
 // kBatch), in chunks of 2, 2 and 1, and as a one-slice call through either
 // workspace (as an engine job of batch 1 may lease a wide one) — on
 // Bluestein and power-of-two grids.
-TEST_P(BatchSimdEquivalence, MatchesSinglesToRounding) {
+TEST_P(BatchSimdEquivalence, MatchesSinglesBitwise) {
   const auto [dim, isa] = GetParam();
   if (isa == SimdIsa::kAvx2 && !avx2_available()) GTEST_SKIP() << "no AVX2";
   for (const bool pow2 : {false, true}) {

@@ -43,4 +43,11 @@ void scatter1(Part2 kind, int dim, cfloat* grid, const std::array<index_t, 3>& s
 cfloat gather1(Part2 kind, int dim, const cfloat* grid, const std::array<index_t, 3>& strides,
                const WindowBuf& wb);
 
+/// Asserts, bitwise, that a SIMD backend's Part-2 kernels (at slice-group
+/// width 1) compute what a scalar model of their lane arithmetic computes:
+/// `lanes` floats per vector (4 for SSE, 8 for AVX2), with multiply-add
+/// fused or not. Sweeps d 1–3 × W ∈ {2, 2.5, 4, 6, 8} over random windows,
+/// wrapped ones included. kAvx2 requires avx2_available().
+void expect_part2_matches_lane_model(Part2 kind, int lanes, bool fused);
+
 }  // namespace nufft::testing
