@@ -1,19 +1,21 @@
 // Ablation: Part 1 weight computation via the piecewise-polynomial Horner
 // evaluator versus the linear-interpolation LUT, for the ES kernel the
-// tolerance-driven planner pairs with Horner. The Horner row is one
-// register-resident evaluator (kernels::horner_rows, kernels/horner.hpp) on
-// every backend; "Horner gen" reaches it through KernelHorner::eval_window
-// (the runtime-W route of compute_window), "Horner spec" inlines it at a
-// compile-time row count (the constexpr-W window_spec of the dispatch
-// variants, core/conv_variants.hpp). The second half times the convolution
-// sample loop of a plan's constexpr-W variant against its runtime-W sibling
-// on the LUT and Horner configurations; results go to BENCH_abla_horner.json
-// (window rows "w4".."w8", pipeline rows "<kernel>.d<dim>").
+// tolerance-driven planner pairs with Horner. The window rows time the
+// sample loop's Part 1, detail::window_block (core/window_span.hpp: four
+// samples per call, one per SSE lane), over every sample: "LUT rt-W" and
+// "Horner rt-W" with W read at run time (the runtime-W variants), "Horner
+// W2" with W a compile-time constant (the constexpr-W variants). The second
+// half times the convolution sample loop of a plan's constexpr-W variant
+// against its runtime-W sibling on the LUT and Horner configurations;
+// results go to BENCH_abla_horner.json (window rows "w4".."w8", pipeline
+// rows "<kernel>.d<dim>").
 //
 // This TU is deliberately compiled at the baseline ISA (see
 // core/conv_variants.hpp rule 2): including the variant templates from an
 // -mavx2 TU would let the compiler contract the weight arithmetic into FMA
 // and measure a loop the library never runs.
+#include <algorithm>
+#include <array>
 #include <cstdio>
 #include <string>
 
@@ -31,38 +33,33 @@ namespace {
 
 volatile float g_sink = 0.0f;
 
-/// Time one Part-1 sweep over every sample: `fn(coord, wb)` fills the window.
-template <typename Fn>
-double time_window(const datasets::SampleSet& set, const Fn& fn) {
+/// Time one Part-1 sweep over every sample, four at a time as the sample
+/// loop runs it.
+template <int W2, bool HORNER>
+double time_block(const GridDesc& g, const WindowEval& ev, const datasets::SampleSet& set) {
+  const std::array<const float*, 3> coords{set.coords[0].data(), set.coords[1].data(),
+                                           set.coords[2].data()};
   return time_call([&] {
-    WindowBuf wb;
+    WindowBuf wbs[detail::kBlockLanes];
     float acc = 0.0f;
-    for (index_t p = 0; p < set.count(); ++p) {
-      float coord[3] = {set.coords[0][static_cast<std::size_t>(p)],
-                        set.coords[1][static_cast<std::size_t>(p)],
-                        set.coords[2][static_cast<std::size_t>(p)]};
-      fn(coord, wb);
-      acc += wb.win[0][0];
+    for (index_t p = 0; p < set.count(); p += detail::kBlockLanes) {
+      const auto lanes =
+          static_cast<int>(std::min<index_t>(detail::kBlockLanes, set.count() - p));
+      detail::window_block<3, W2, HORNER>(g, ev, coords, p, lanes, false, wbs);
+      acc += wbs[0].win[0][0];
     }
     g_sink = g_sink + acc;
-  });
-}
-
-template <int W2>
-double time_spec(const GridDesc& g, const WindowEval& ev, const datasets::SampleSet& set) {
-  return time_window(set, [&](const float* coord, WindowBuf& wb) {
-    detail::window_spec<3, W2, true>(g, ev, coord, false, wb);
   });
 }
 
 double time_spec_for(int w2, const GridDesc& g, const WindowEval& ev,
                      const datasets::SampleSet& set) {
   switch (w2) {
-    case 4: return time_spec<4>(g, ev, set);
-    case 5: return time_spec<5>(g, ev, set);
-    case 6: return time_spec<6>(g, ev, set);
-    case 7: return time_spec<7>(g, ev, set);
-    default: return time_spec<8>(g, ev, set);
+    case 4: return time_block<4, true>(g, ev, set);
+    case 5: return time_block<5, true>(g, ev, set);
+    case 6: return time_block<6, true>(g, ev, set);
+    case 7: return time_block<7, true>(g, ev, set);
+    default: return time_block<8, true>(g, ev, set);
   }
 }
 
@@ -75,8 +72,8 @@ int main() {
   const GridDesc g = make_grid(3, row.n, 2.0);
   BenchReport report("abla_horner");
 
-  std::printf("%-5s %6s %12s %12s %12s %10s %10s\n", "W", "degree", "LUT gen", "Horner gen",
-              "Horner spec", "spec gain", "vs LUT");
+  std::printf("%-5s %6s %12s %12s %12s %10s %10s\n", "W", "degree", "LUT rt-W", "Horner rt-W",
+              "Horner W2", "spec gain", "vs LUT");
   for (int w2 = ConvDispatch::kMinWidth2; w2 <= ConvDispatch::kMaxWidth2; ++w2) {
     const double W = 0.5 * w2;
     const kernels::EsKernel es(W, 2.0);
@@ -87,12 +84,8 @@ int main() {
     WindowEval horner_ev;
     horner_ev.horner = &horner;
 
-    const double t_lut = time_window(set, [&](const float* coord, WindowBuf& wb) {
-      compute_window(g, lut_ev, coord, 3, false, wb);
-    });
-    const double t_horner = time_window(set, [&](const float* coord, WindowBuf& wb) {
-      compute_window(g, horner_ev, coord, 3, false, wb);
-    });
+    const double t_lut = time_block<0, false>(g, lut_ev, set);
+    const double t_horner = time_block<0, true>(g, horner_ev, set);
     const double t_spec = time_spec_for(w2, g, horner_ev, set);
     std::printf("%-5.1f %6d %12.4f %12.4f %12.4f %9.2fx %9.2fx\n", W, horner.degree(), t_lut,
                 t_horner, t_spec, t_horner / t_spec, t_lut / t_spec);

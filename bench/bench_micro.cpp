@@ -7,6 +7,7 @@
 
 #include "common.hpp"
 #include "core/batch_conv.hpp"
+#include "core/conv_variants.hpp"
 #include "core/convolution.hpp"
 #include "core/convolution_avx2.hpp"
 #include "fft/fft1d.hpp"
@@ -149,6 +150,60 @@ void BM_ComputeWindow3d(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ComputeWindow3d)->Arg(2)->Arg(4)->Arg(8);
+
+// Part 1 as the sample loop runs it (detail::stage_windows: window blocks
+// of four plan-order samples, the last one of a range padded) over every
+// task range of a one-thread SSE plan; `per_sample` is the time per sample.
+// Arg: 0 = 2-D ES W = 2 (Horner) at m = 256, the stream2d_frames shape;
+// 1 = 2-D KB W = 4 (LUT) at m = 64, the serve_loopback plans; 2 = 3-D ES
+// W = 3 (Horner) at m = 128, the apply3d_es shape.
+template <int DIM, int W2, bool HORNER>
+void part1_range(benchmark::State& state, index_t m, index_t count) {
+  datasets::TrajectoryParams p;
+  p.n = m / 2;
+  p.k = 256;
+  p.s = count / p.k;
+  const datasets::SampleSet set =
+      datasets::make_trajectory(datasets::TrajectoryType::kRandom, DIM, p);
+  PlanConfig cfg = bench::optimized_config(1, 0.5 * W2);
+  cfg.isa = SimdIsa::kSse;
+  if (HORNER) {
+    cfg.kernel = kernels::KernelType::kEs;
+    cfg.eval = kernels::KernelEval::kHorner;
+  }
+  const Nufft plan(make_grid(DIM, p.n, 2.0), set, cfg);
+  if (plan.conv_variant().key.width2 != W2) {
+    state.SkipWithError("the plan did not bind the constexpr-W variant");
+    return;
+  }
+  for (auto _ : state) {
+    WindowBuf wbs[detail::kBlockLanes];
+    for (const ConvTask& t : plan.plan().tasks) {
+      const ConvRange r = plan.conv_range(t, false);
+      for (index_t s = r.begin; s < r.end; s += detail::kBlockLanes) {
+        detail::stage_windows<ConvBackend::kSse, DIM, W2, HORNER>(
+            r, s, std::min<index_t>(detail::kBlockLanes, r.end - s), wbs);
+        benchmark::DoNotOptimize(wbs);
+      }
+    }
+    benchmark::ClobberMemory();
+  }
+  state.counters["per_sample"] =
+      benchmark::Counter(static_cast<double>(state.iterations() * set.count()),
+                         benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+
+void BM_Part1Range(benchmark::State& state) {
+  switch (state.range(0)) {
+    case 0:
+      return part1_range<2, 4, true>(state, 256, 65536);
+    case 1:
+      return part1_range<2, 8, false>(state, 64, 4096);
+    default:
+      return part1_range<3, 6, true>(state, 128, 65536);
+  }
+}
+BENCHMARK(BM_Part1Range)->DenseRange(0, 2)->UseRealTime();
 
 // Part 2 of one 3-D sample at slice-group width 1, as a single apply runs
 // it: args {W, the AVX2 instantiation (1) or the SSE one (0)}.

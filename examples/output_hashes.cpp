@@ -13,7 +13,9 @@
 // per power-of-two grid: the SSE-width FFT column stages alone (BatchFft
 // with avx2 = false, the plan's corner wrap lists), forward and inverse at
 // nb = 1 and 8; plans take the AVX2 stages on an AVX2 host, so no line
-// above runs these there. The last line hashes every line above it. Rows
+// above runs these there. Then the runtime-W lines: {scalar, sse} ×
+// {d2 m64 ES/Horner W = 1.5, d3 m32 KB/LUT W = 4.5} × pool {1, 3}, with the
+// nb = 1 and nb = 8 hashes. The last line hashes every line above it. Rows
 // for AVX2 print "skipped" on CPUs without AVX2+FMA, so compare files from
 // one host.
 //
@@ -21,9 +23,9 @@
 // are powers of two and run the column stages (m = 64 is the 2-D transform
 // of the small serving and streaming plans). The plans cover both Part-1
 // routes: KB/LUT at the default W = 4 and ES/Horner at W = 2 (2-D) and 3
-// (3-D) bind constexpr-W variants, ES/Horner at W = 4.5 (1-D) binds the
-// runtime-W one. Every plan holds a few thousand variable-density samples,
-// so its tasks run several value blocks.
+// (3-D) bind constexpr-W variants; ES/Horner at W = 4.5 (1-D) and the
+// runtime-W lines bind the runtime-W ones. Every plan holds a few thousand
+// variable-density samples, so its tasks run several value blocks.
 #include <array>
 #include <cstdint>
 #include <cstdio>
@@ -131,7 +133,9 @@ struct Backend {
 constexpr Backend kBackends[] = {
     {"scalar", false, SimdIsa::kSse}, {"sse", true, SimdIsa::kSse}, {"avx2", true, SimdIsa::kAvx2}};
 
-PlanConfig config_for(const Backend& backend, int dim, bool horner, int threads) {
+/// The plan of one line; W = 0 keeps the line's default width.
+PlanConfig config_for(const Backend& backend, int dim, bool horner, int threads,
+                      double W = 0.0) {
   PlanConfig cfg;
   cfg.threads = threads;
   cfg.use_simd = backend.simd;
@@ -141,8 +145,19 @@ PlanConfig config_for(const Backend& backend, int dim, bool horner, int threads)
     cfg.eval = kernels::KernelEval::kHorner;
     cfg.kernel_radius = dim == 1 ? 4.5 : (dim == 2 ? 2.0 : 3.0);
   }
+  if (W > 0.0) cfg.kernel_radius = W;
   return cfg;
 }
+
+/// A width outside the constexpr-W table, so the plan binds a runtime-W
+/// variant.
+struct RuntimeWidth {
+  Shape shape;
+  bool horner;
+  double W;
+};
+
+constexpr RuntimeWidth kRuntimeWidths[] = {{{2, 32}, true, 1.5}, {{3, 16}, false, 4.5}};
 
 /// The plan's wrap lists: image index i of a dimension sits at grid index
 /// (i − ⌊n/2⌋) mod m.
@@ -228,6 +243,28 @@ int main() {
                 static_cast<unsigned long long>(h[1]), static_cast<unsigned long long>(h[2]),
                 static_cast<unsigned long long>(h[3]));
     fold_into(all, h);
+  }
+  for (const Backend& backend : {kBackends[0], kBackends[1]}) {
+    for (const RuntimeWidth& rw : kRuntimeWidths) {
+      const int dim = rw.shape.dim;
+      const datasets::SampleSet set = samples_for(rw.shape);
+      const GridDesc g = make_grid(dim, set.m / 2, 2.0);
+      for (const int threads : {1, 3}) {
+        std::printf("%-6s d%d m%-4lld %s.w%.1f pool%d ", backend.name, dim,
+                    static_cast<long long>(g.m[0]), rw.horner ? "es.horner" : "kb.lut", rw.W,
+                    threads);
+        const Nufft plan(g, set, config_for(backend, dim, rw.horner, threads, rw.W));
+        ThreadPool pool(threads);
+        const Hashes h = run(plan, pool, /*toeplitz=*/false);
+        std::printf("fwd1=%016llx adj1=%016llx fwd8=%016llx adj8=%016llx %s\n",
+                    static_cast<unsigned long long>(h.fwd1),
+                    static_cast<unsigned long long>(h.adj1),
+                    static_cast<unsigned long long>(h.fwd8),
+                    static_cast<unsigned long long>(h.adj8),
+                    plan.plan_stats().conv_variant.c_str());
+        fold_into(all, {h.fwd1, h.adj1, h.fwd8, h.adj8});
+      }
+    }
   }
   std::printf("all    %016llx\n", static_cast<unsigned long long>(all));
   return 0;

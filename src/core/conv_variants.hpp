@@ -8,17 +8,19 @@
 // contract: on the same plan, a constexpr-W variant produces bit-identical
 // results to its runtime-W sibling. Two rules keep that true:
 //
-//   1. Part 1 is one template, detail::window_spec (core/window_span.hpp);
-//      W2 only decides whether W folds at compile time. compute_window is
-//      its runtime-W instantiation as well.
+//   1. Part 1 is one template, detail::window_block (core/window_span.hpp),
+//      run by every variant on every backend; W2 only decides whether W
+//      folds at compile time. Each of its SSE lanes runs the float
+//      operations of compute_window, the per-sample reference, so the loop
+//      equals a per-sample loop bitwise too.
 //   2. Every TU including this header is compiled at the baseline ISA. On a
 //      TU built with -mavx2 -mfma the compiler may contract the a·b+c shapes
-//      in the window/weight arithmetic (the Horner row's multiply-then-add
+//      in the window/weight arithmetic (the Horner steps' multiply-then-add
 //      included) into FMA, which changes rounding. AVX2 work is reached only
 //      through the *extern* AVX2 instantiation of the Part-2 kernels in
 //      core/batch_conv_avx2.cpp, which is built with contraction off and
 //      pinned to a lane model in the tests; Part 1 has no AVX2 code — every
-//      backend runs the one SSE Horner row (kernels/horner.hpp).
+//      backend runs the one SSE block. The backend picks only Part 2.
 //
 // Batch width: nb picks no kernel, only the slice-group width G of the
 // backend's Part-2 kernels (core/batch_conv.hpp, one template over the
@@ -31,11 +33,10 @@
 // nb = 1 call on slice b's data bitwise.
 //
 // What constexpr W buys (paper Part 1, the dominant phase at small W): the
-// trim folds against a constant and the per-sample window loops get fixed
-// trip counts; compile-time dim/evaluator/backend remove the per-element
-// evaluator branch and the per-sample backend switch in every variant, and
-// a Horner variant inlines the register-resident row at its compile-time
-// row count instead of calling KernelHorner::eval_window's stride switch.
+// trim folds against a constant and the block's segment/tap groups get a
+// compile-time bound; compile-time dim/evaluator/backend remove the
+// per-element evaluator branch and the per-sample backend switch in every
+// variant.
 #pragma once
 
 #include <algorithm>
@@ -66,15 +67,20 @@ inline constexpr index_t kSampleBlock = 32;
 /// KB W = 4: spread 103.2 → 102.8 ms, interp median 93.5 → 93.8 ms).
 inline constexpr index_t kValueBlock = 256;
 
-/// Part 1 for reordered sample i of the range, with the backend's weight
-/// duplication (SIMD Part 2) and row evaluator.
+static_assert(kSampleBlock % kBlockLanes == 0 && kValueBlock % kBlockLanes == 0,
+              "window blocks tile the sample and value blocks");
+
+/// Part 1 for the n reordered samples from `first` on into wbs[0, n): window
+/// blocks of kBlockLanes samples, the last one padded with its last valid
+/// sample, so wbs must hold n rounded up to a whole block.
 template <ConvBackend B, int DIM, int W2, bool HORNER>
-[[gnu::always_inline]] inline void sample_window(const ConvRange& a, index_t i, WindowBuf& wb) {
-  float coord[3];
-  for (int d = 0; d < DIM; ++d) {
-    coord[d] = a.coords[static_cast<std::size_t>(d)][static_cast<std::size_t>(i)];
+[[gnu::always_inline]] inline void stage_windows(const ConvRange& a, index_t first, index_t n,
+                                                 WindowBuf* wbs) {
+  for (index_t q = 0; q < n; q += kBlockLanes) {
+    const auto lanes = static_cast<int>(std::min<index_t>(kBlockLanes, n - q));
+    window_block<DIM, W2, HORNER>(*a.g, a.ev, a.coords, first + q, lanes,
+                                  B != ConvBackend::kScalar, wbs + q);
   }
-  window_spec<DIM, W2, HORNER>(*a.g, a.ev, coord, B != ConvBackend::kScalar, wb);
 }
 
 /// Rebase neighbour indices into a privatized task's box; the box covers the
@@ -128,24 +134,24 @@ template <ConvBackend B, int DIM, int G>
 /// interp. Caller order is a random walk through memory, so at large sample
 /// counts each value access misses cache; issued back to back, a block's
 /// misses overlap instead of each one stalling its own sample's window.
-/// Inside a value block the windows of kWindows samples are staged at once,
-/// then each group of G slices runs through them.
+/// Inside a value block the windows of kWindows samples are staged at once
+/// (stage_windows), then each group of G slices runs through them.
 ///
 /// A single apply (G = 1) has one group and nothing to amortize, so it
-/// stages no windows (kWindows = 1), only values. The two differ in size:
-/// measured single-threaded on the bench_layers shapes (SSE, min of 50),
-/// staging the windows of 32 samples at G = 1 made the 2-D ES W = 2 spread
-/// and interp 13–16 % slower and the 3-D ES W = 3 spread 9 % slower (a
-/// WindowBuf is about 1 KB, so 32 of them fill L1), while a value is 8 bytes
-/// per sample and slice and a block of kValueBlock stays in L1.
-/// A batch (G = kSlabGroup) stages kSampleBlock samples, windows and values,
-/// so one Part 1 serves every group.
+/// stages one window block (kWindows = kBlockLanes), only values beyond
+/// that. The two differ in size: measured single-threaded on the
+/// bench_layers shapes (SSE, min of 50), staging the windows of 32 samples
+/// at G = 1 made the 2-D ES W = 2 spread and interp 13–16 % slower and the
+/// 3-D ES W = 3 spread 9 % slower (a WindowBuf is about 1 KB, so 32 of them
+/// fill L1), while a value is 8 bytes per sample and slice and a block of
+/// kValueBlock stays in L1. A batch (G = kSlabGroup) stages kSampleBlock
+/// samples, windows and values, so one Part 1 serves every group.
 template <ConvBackend B, int DIM, int W2, bool HORNER, int G>
 [[gnu::noinline]] void spread_loop(const ConvRange& a, const cfloat* const* raws, index_t nb,
                                    cfloat* dst, std::size_t slab_stride,
                                    const std::array<index_t, 3>& strides) {
   constexpr index_t kBlock = G == 1 ? kValueBlock : kSampleBlock;
-  constexpr index_t kWindows = G == 1 ? 1 : kSampleBlock;
+  constexpr index_t kWindows = G == 1 ? kBlockLanes : kSampleBlock;
   constexpr index_t kSlices = G == 1 ? 1 : kMaxBatch;
   WindowBuf wbs[kWindows];
   cfloat vals[kBlock * kSlices];
@@ -157,9 +163,9 @@ template <ConvBackend B, int DIM, int W2, bool HORNER, int G>
     }
     for (index_t w0 = 0; w0 < sb; w0 += kWindows) {
       const index_t wn = std::min<index_t>(kWindows, sb - w0);
-      for (index_t i = 0; i < wn; ++i) {
-        sample_window<B, DIM, W2, HORNER>(a, s0 + w0 + i, wbs[i]);
-        if (a.box_lo != nullptr) rebase_box<DIM>(a.box_lo, wbs[i]);
+      stage_windows<B, DIM, W2, HORNER>(a, s0 + w0, wn, wbs);
+      if (a.box_lo != nullptr) {
+        for (index_t i = 0; i < wn; ++i) rebase_box<DIM>(a.box_lo, wbs[i]);
       }
       for (index_t b0 = 0; b0 < nb; b0 += G) {
         const index_t gnb = std::min<index_t>(G, nb - b0);
@@ -179,7 +185,7 @@ template <ConvBackend B, int DIM, int W2, bool HORNER, int G>
                                    const std::array<index_t, 3>& strides, cfloat* const* outs,
                                    index_t nb) {
   constexpr index_t kBlock = G == 1 ? kValueBlock : kSampleBlock;
-  constexpr index_t kWindows = G == 1 ? 1 : kSampleBlock;
+  constexpr index_t kWindows = G == 1 ? kBlockLanes : kSampleBlock;
   constexpr index_t kSlices = G == 1 ? 1 : kMaxBatch;
   WindowBuf wbs[kWindows];
   cfloat vals[kBlock * kSlices];
@@ -187,7 +193,7 @@ template <ConvBackend B, int DIM, int W2, bool HORNER, int G>
     const index_t sb = std::min<index_t>(kBlock, a.end - s0);
     for (index_t w0 = 0; w0 < sb; w0 += kWindows) {
       const index_t wn = std::min<index_t>(kWindows, sb - w0);
-      for (index_t i = 0; i < wn; ++i) sample_window<B, DIM, W2, HORNER>(a, s0 + w0 + i, wbs[i]);
+      stage_windows<B, DIM, W2, HORNER>(a, s0 + w0, wn, wbs);
       for (index_t b0 = 0; b0 < nb; b0 += G) {
         const index_t gnb = std::min<index_t>(G, nb - b0);
         const cfloat* group = grid + static_cast<std::size_t>(b0) * slab_stride;

@@ -1,5 +1,7 @@
 #include "core/convolution.hpp"
 
+#include <cmath>
+
 #include "common/error.hpp"
 #include "core/batch_conv.hpp"
 #include "core/window_span.hpp"
@@ -25,20 +27,58 @@ void compute_window(const GridDesc& g, const kernels::KernelLut& lut, const floa
 
 namespace {
 
-// compute_window is the runtime-W instantiation of the dispatch variants'
-// Part 1 (detail::window_spec), so the window arithmetic exists once.
+// Part 1 for one sample: the per-sample reference the sample loop's
+// detail::window_block (core/window_span.hpp) reproduces lane by lane, bit
+// for bit. The Horner row is KernelHorner::eval_window's (kernels/horner.hpp).
+template <int DIM, bool HORNER>
+void window_spec(const GridDesc& g, const WindowEval& ev, const float* coord, bool fill_dup,
+                 WindowBuf& wb) {
+  const float W = ev.radius();
+  for (int d = 0; d < DIM; ++d) {
+    const float k = coord[d];
+    const WindowSpan sp = window_span(k, W);
+    NUFFT_DASSERT(sp.len <= WindowBuf::kMaxLen);
+    const index_t m = g.m[static_cast<std::size_t>(d)];
+    wb.start[d] = sp.x1;
+    wb.len[d] = sp.len;
+    if constexpr (!HORNER) {
+      const kernels::KernelLut& lut = *ev.lut;
+      for (int i = 0; i < sp.len; ++i) {
+        const index_t nx = sp.x1 + i;
+        wb.idx[d][i] = wrap_grid_index(nx, m);
+        wb.win[d][i] = lut(std::fabs(static_cast<float>(nx) - k));
+      }
+    } else {
+      for (int i = 0; i < sp.len; ++i) wb.idx[d][i] = wrap_grid_index(sp.x1 + i, m);
+      // Shared abscissa z = x1 − k + W ∈ [0, 1]; one row evaluation covers
+      // the whole window (see kernels/horner.hpp).
+      const float z = static_cast<float>(sp.x1) - k + W;
+      ev.horner->eval_window(z, sp.len, wb.win[d]);
+    }
+  }
+  constexpr int last = DIM - 1;
+  wb.inner_contiguous = wb.start[last] >= 0 &&
+                        wb.start[last] + wb.len[last] <= g.m[static_cast<std::size_t>(last)];
+  if (fill_dup) {
+    for (int i = 0; i < wb.len[last]; ++i) {
+      wb.win_dup[2 * i] = wb.win[last][i];
+      wb.win_dup[2 * i + 1] = wb.win[last][i];
+    }
+  }
+}
+
 template <bool HORNER>
 void window_runtime_w(const GridDesc& g, const WindowEval& ev, const float* coord, int dim,
                       bool fill_dup, WindowBuf& wb) {
   switch (dim) {
     case 1:
-      detail::window_spec<1, 0, HORNER>(g, ev, coord, fill_dup, wb);
+      window_spec<1, HORNER>(g, ev, coord, fill_dup, wb);
       return;
     case 2:
-      detail::window_spec<2, 0, HORNER>(g, ev, coord, fill_dup, wb);
+      window_spec<2, HORNER>(g, ev, coord, fill_dup, wb);
       return;
     case 3:
-      detail::window_spec<3, 0, HORNER>(g, ev, coord, fill_dup, wb);
+      window_spec<3, HORNER>(g, ev, coord, fill_dup, wb);
       return;
     default:
       throw Error("unsupported dimension");

@@ -1,9 +1,12 @@
 // Convolution interpolation between the non-uniform samples and the
 // oversampled Cartesian grid (paper Fig. 2).
 //
-// Part 1 (compute_window): for one sample, derive per-dimension neighbour
-// coordinates kx/ky/kz (wrapped mod M) and interpolation weights
-// winX/winY/winZ from the kernel LUT.
+// Part 1: for each sample, derive per-dimension neighbour coordinates
+// kx/ky/kz (wrapped mod M) and interpolation weights winX/winY/winZ from the
+// kernel LUT or Horner fit. The sample loop computes it across samples,
+// four per call in SSE lanes (detail::window_block, core/window_span.hpp);
+// compute_window below is the per-sample path, its bitwise reference and
+// the entry of the baselines and tests.
 //
 // Part 2: the separable convolution itself —
 //   forward  (gather):  raw[p]  += Σ f[kx,ky,kz]·winX·winY·winZ
@@ -77,8 +80,8 @@ struct WindowEval {
 };
 
 /// Part 1 against either evaluator; identical contract to the LUT overload.
-/// This is the runtime-W instantiation of the dispatch variants' window
-/// template (detail::window_spec in core/window_span.hpp).
+/// The sample loop's window block (detail::window_block in
+/// core/window_span.hpp) reproduces this per-sample path bitwise.
 void compute_window(const GridDesc& g, const WindowEval& ev, const float* coord, int dim,
                     bool fill_dup, WindowBuf& wb);
 

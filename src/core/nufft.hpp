@@ -206,7 +206,7 @@ class Nufft {
 
  private:
   /// The weight evaluator this plan resolved (LUT or Horner) as the view
-  /// compute_window consumes.
+  /// Part 1 consumes (the sample loop's window block and compute_window).
   WindowEval window_eval() const {
     WindowEval ev;
     if (horner_ != nullptr) {

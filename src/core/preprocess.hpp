@@ -68,6 +68,8 @@ struct PlanConfig {
   /// with the ES kernel).
   kernels::KernelEval eval = kernels::KernelEval::kLut;
 
+  // use_simd and isa pick the Part-2 kernels only: every backend runs the one
+  // SSE Part 1 (detail::window_block, core/window_span.hpp).
   bool use_simd = true;                  // Fig. 13 ablation (false = scalar Part 2)
   SimdIsa isa = SimdIsa::kSse;           // which vector ISA when use_simd
   bool reorder = true;                   // Fig. 9 "Reorder"

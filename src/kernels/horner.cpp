@@ -4,12 +4,34 @@
 #include <cmath>
 
 #include "common/error.hpp"
+#include "simd/vec4f.hpp"
 
 namespace nufft::kernels {
 
 namespace {
 
 constexpr double kPi = 3.14159265358979323846;
+
+/// The row of `h` at abscissa z (clamped to [0, 1]) over its 4·NV = stride()
+/// segments, with the accumulators in registers: acc = c₀, then acc·t + c_k
+/// per degree step. Writes the first len weights to out.
+template <int NV>
+[[gnu::always_inline]] inline void horner_rows(const KernelHorner& h, float z, int len,
+                                               float* out) {
+  z = z < 0.0f ? 0.0f : (z > 1.0f ? 1.0f : z);
+  const simd::Vec4f t(2.0f * z - 1.0f);
+  const float* c = h.coefficients();
+  const auto stride = static_cast<std::size_t>(4 * NV);
+  simd::Vec4f acc[NV];
+  for (int j = 0; j < NV; ++j) acc[j] = simd::Vec4f::loadu(c + 4 * j);
+  for (int k = 1; k <= h.degree(); ++k) {
+    const float* row = c + static_cast<std::size_t>(k) * stride;
+    for (int j = 0; j < NV; ++j) acc[j] = acc[j] * t + simd::Vec4f::loadu(row + 4 * j);
+  }
+  alignas(16) float w[4 * NV];
+  for (int j = 0; j < NV; ++j) acc[j].store(w + 4 * j);
+  for (int i = 0; i < len; ++i) out[i] = w[i];
+}
 
 }  // namespace
 
@@ -20,7 +42,7 @@ KernelHorner::KernelHorner(const Kernel1d& kernel, int degree) {
                   "Horner segments require 2*radius to be an integer so segment "
                   "boundaries align with the support edge");
   radius_ = static_cast<float>(W);
-  // Pad the segment stride to a multiple of 8 so horner_rows reads whole
+  // Pad the segment stride to a multiple of 8 so eval_window reads whole
   // coefficient rows in 4-float vectors from one of four instantiations.
   // The padded entries stay zero and only ever feed lanes past `len`, which
   // the evaluator discards — numerically the padding is invisible.

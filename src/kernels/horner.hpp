@@ -13,27 +13,29 @@
 // (degree-d nodes, exact DCT of the samples, then a change of basis to
 // monomials in t = 2z − 1), fitted in double and stored in float.
 //
-// One evaluator, horner_rows<NV>, serves every caller: it holds the row of
-// 4·NV segments in Vec4f registers across the degree steps, so the
-// recurrence never goes through memory. Each step is a multiply, then an
-// add — the per-lane arithmetic of the plain scalar recurrence, so every
-// weight keeps its bits on every backend. No FMA: this header is included
-// only by baseline-ISA translation units and by -ffp-contract=off ones
-// (core/batch_conv_avx2.cpp), where the compiler cannot fuse the pair.
+// Two evaluators run the same recurrence, acc = c₀, then acc·t + c_k per
+// degree step — a multiply, then an add, the per-lane arithmetic of the
+// plain scalar recurrence — so every weight keeps its bits on every path:
+//   * KernelHorner::eval_window, the per-sample row of compute_window, holds
+//     the row of one sample's segments in SSE registers (lanes = segments);
+//   * the sample loop's detail::window_block (core/window_span.hpp) runs one
+//     register chain per segment over four samples (lanes = samples),
+//     broadcasting each coefficient from the same transposed table.
+// No FMA: both are compiled only in baseline-ISA translation units, where
+// the compiler cannot fuse the pair.
 #pragma once
 
 #include <vector>
 
 #include "common/error.hpp"
 #include "kernels/kernel.hpp"
-#include "simd/vec4f.hpp"
 
 namespace nufft::kernels {
 
 class KernelHorner {
  public:
   /// Upper bound on the padded segment stride (W ≤ 9.5 → nseg ≤ 21 → stride
-  /// ≤ 24). eval_window instantiates horner_rows for every stride up to it.
+  /// ≤ 24).
   static constexpr int kMaxStride = 32;
 
   /// Fit piecewise polynomials for `kernel`. Requires 2·radius to be an
@@ -54,14 +56,15 @@ class KernelHorner {
 
   /// Transposed coefficient table: coefficients()[k*stride() + i] is the
   /// t^(degree−k) coefficient of segment i. stride() is a multiple of 8 and
-  /// the padded tail of every row is zero-filled, so horner_rows reads whole
-  /// rows in 4-float vectors.
+  /// the padded tail of every row is zero-filled, so eval_window reads whole
+  /// rows in 4-float vectors and window_block whole groups of four segments.
   const float* coefficients() const { return coef_.data(); }
   int stride() const { return stride_; }
 
   /// Window batch evaluation: weights for neighbours x1..x1+len−1 of a
   /// sample with shared abscissa z = x1 − k + W ∈ [0, 1]. 0 ≤ len ≤
-  /// segments(). The runtime-W route to horner_rows: one switch on stride().
+  /// segments(). The per-sample row of compute_window: one switch on
+  /// stride() to a row held in stride() / 4 SSE registers.
   void eval_window(float z, int len, float* out) const;
 
   /// Scalar reference path (tests, spot checks): kernel value at signed
@@ -75,29 +78,5 @@ class KernelHorner {
   int degree_ = 0;
   int stride_ = 0;
 };
-
-/// The piecewise-Horner row of `h` at abscissa z (clamped to [0, 1]) over
-/// its 4·NV = stride() segments, with the accumulators in registers: acc =
-/// c₀, then acc = acc·t + c_k per degree step. Writes the first len
-/// weights to out. Callers with a compile-time width instantiate it
-/// directly; everyone else goes through KernelHorner::eval_window.
-template <int NV>
-[[gnu::always_inline]] inline void horner_rows(const KernelHorner& h, float z, int len,
-                                               float* out) {
-  NUFFT_DASSERT(h.stride() == 4 * NV && 0 <= len && len <= h.segments());
-  z = z < 0.0f ? 0.0f : (z > 1.0f ? 1.0f : z);
-  const simd::Vec4f t(2.0f * z - 1.0f);
-  const float* c = h.coefficients();
-  const auto stride = static_cast<std::size_t>(4 * NV);
-  simd::Vec4f acc[NV];
-  for (int j = 0; j < NV; ++j) acc[j] = simd::Vec4f::loadu(c + 4 * j);
-  for (int k = 1; k <= h.degree(); ++k) {
-    const float* row = c + static_cast<std::size_t>(k) * stride;
-    for (int j = 0; j < NV; ++j) acc[j] = acc[j] * t + simd::Vec4f::loadu(row + 4 * j);
-  }
-  alignas(16) float w[4 * NV];
-  for (int j = 0; j < NV; ++j) acc[j].store(w + 4 * j);
-  for (int i = 0; i < len; ++i) out[i] = w[i];
-}
 
 }  // namespace nufft::kernels

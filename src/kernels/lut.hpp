@@ -46,6 +46,10 @@ class KernelLut {
 
   int samples_per_unit() const { return spu_; }
   std::size_t table_size() const { return table_.size(); }
+  /// The table operator() reads (entry i at distance i / scale()), for the
+  /// sample loop's across-sample lookup (detail::window_block).
+  const float* table() const { return table_.data(); }
+  float scale() const { return scale_; }
 
  private:
   fvec table_;

@@ -13,7 +13,8 @@
 // contract: slice b of every variant's nb = 8 call equals its nb = 1 call on
 // slice b's data, bitwise. A third body runs each variant over sub-ranges
 // of one long task that end at every edge of the sample loop's value
-// blocks, against a per-sample loop written here. The remaining tests pin
+// blocks and in partial window blocks, against a per-sample loop written
+// here. The remaining tests pin
 // the registry shape, the runtime-W binding of uncovered widths, and that
 // the plan-time selection is observable (PlanStats + the obs counter).
 //
@@ -22,9 +23,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstring>
 #include <string>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -413,7 +416,7 @@ testing::Part2 part2_of(ConvBackend b) {
 /// compute_window, rebased into the task's box for a box-local range.
 WindowBuf window_of(const ConvRange& r, ConvBackend backend, index_t i) {
   const int dim = r.g->dim;
-  float coord[3];
+  float coord[3] = {0.0f, 0.0f, 0.0f};
   for (int d = 0; d < dim; ++d) {
     coord[d] = r.coords[static_cast<std::size_t>(d)][static_cast<std::size_t>(i)];
   }
@@ -460,13 +463,30 @@ void per_sample_interp(const ConvRange& r, ConvBackend backend, const cfloat* sl
   }
 }
 
+/// Point r's coordinates at copies that end with the range, so a loop that
+/// read a coordinate past r.end would leave the allocation (the ASan sweep
+/// reports it). Keep the returned copies alive while r is in use.
+std::array<std::vector<float>, 3> coords_ending_at_range(ConvRange& r, int dim) {
+  std::array<std::vector<float>, 3> copy;
+  for (int d = 0; d < dim; ++d) {
+    const auto u = static_cast<std::size_t>(d);
+    copy[u].assign(r.coords[u], r.coords[u] + r.end);
+    r.coords[u] = copy[u].data();
+  }
+  return copy;
+}
+
 TEST_EACH_VARIANT(ConvDispatchValueBlocks, BlockEdgesMatchPerSampleLoopBitwise) {
   // The sample loop moves values between caller order and a plan-order
   // buffer in blocks (kValueBlock samples at nb = 1, kSampleBlock in a
-  // batch). Sub-ranges of one task that stop short of, at and just past a
-  // block edge, and one that ends in a partial block after three full ones,
-  // must equal the per-sample loop bitwise: direct and box-local spread and
-  // interp, at nb = 1 and at a batch with a partial slice group.
+  // batch), and runs Part 1 in window blocks of four samples, padding the
+  // last one of a range. Sub-ranges of one task that stop short of, at and
+  // just past a block edge, that end in a 1–3-sample window block inside
+  // or at the end of a value block, and one that ends in a partial block
+  // after three full ones, must equal the per-sample loop bitwise: direct
+  // and box-local spread and interp, at nb = 1 and at a batch with a
+  // partial slice group. Each range's coordinates end with it, so the ASan
+  // sweep checks that no window block reads past a range's last sample.
   constexpr index_t kB = detail::kValueBlock;
   constexpr index_t kLongest = 3 * kB + 5;
   constexpr index_t kWide = kSlabGroup + 3;
@@ -497,12 +517,14 @@ TEST_EACH_VARIANT(ConvDispatchValueBlocks, BlockEdgesMatchPerSampleLoopBitwise) 
 
   for (const ConvVariant* v : {&fixed, &runtime}) {
     for (const index_t nb : {index_t{1}, kWide}) {
-      for (const index_t len : {index_t{0}, index_t{1}, kB - 1, kB, kB + 1, kLongest}) {
+      for (const index_t len : {index_t{0}, index_t{1}, index_t{2}, index_t{3}, index_t{5},
+                                index_t{6}, index_t{7}, kB - 1, kB, kB + 1, kLongest}) {
         const std::string where =
             v->name + " nb=" + std::to_string(nb) + " len=" + std::to_string(len);
         for (const bool box : {false, true}) {
           ConvRange r = plan.conv_range(task, box);
           r.end = r.begin + len;
+          const auto coords = coords_ending_at_range(r, dim);
           const auto slab = box ? static_cast<std::size_t>(task.box_elems(dim)) : gsize;
           const auto st = box ? task.box_strides(dim) : g.grid_strides();
           cvecf got(static_cast<std::size_t>(nb) * slab, cfloat(0.0f, 0.0f));
@@ -513,6 +535,7 @@ TEST_EACH_VARIANT(ConvDispatchValueBlocks, BlockEdgesMatchPerSampleLoopBitwise) 
         }
         ConvRange r = plan.conv_range(task, false);
         r.end = r.begin + len;
+        const auto coords = coords_ending_at_range(r, dim);
         cvecf got(static_cast<std::size_t>(nb * count), cfloat(0.0f, 0.0f));
         cvecf want(got.size(), cfloat(0.0f, 0.0f));
         std::vector<cfloat*> got_out(static_cast<std::size_t>(nb));

@@ -1,8 +1,10 @@
 // Tests for the interpolation kernels, Bessel I0, LUT, the Horner fits and
-// their one row evaluator, the tolerance table, and rolloff maps.
+// their evaluators, the sample loop's window block (Part 1 across SSE
+// lanes) against the per-sample path, the tolerance table, and rolloff maps.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstring>
 #include <iterator>
@@ -310,35 +312,40 @@ float scalar_recurrence(const KernelHorner& h, float z, int i) {
 
 bool same_bits(float a, float b) { return std::memcmp(&a, &b, sizeof(float)) == 0; }
 
-/// The constexpr-W window template's Horner rows on a 1-D grid, at
-/// coordinates whose shared abscissa z walks a 1/64 grid.
+/// The sample loop's window block (constexpr W) on a 1-D grid, at
+/// coordinates whose shared abscissa z walks a 1/64 grid, four per block.
 template <int W2>
-void expect_window_spec_rows(int degree) {
+void expect_window_block_rows(int degree) {
   const float W = static_cast<float>(W2) * 0.5f;
   const EsKernel es(W, 2.0);
   const KernelHorner h(es, degree);
   const GridDesc g = make_grid(1, 64, 2.0);
   WindowEval ev;
   ev.horner = &h;
-  for (int j = 0; j < 64; ++j) {
-    const float k = 40.0f + static_cast<float>(j) / 64.0f;
-    WindowBuf wb;
-    detail::window_spec<1, W2, true>(g, ev, &k, false, wb);
-    const WindowSpan sp = window_span(k, W);
-    const float z = static_cast<float>(sp.x1) - k + W;
-    ASSERT_EQ(wb.len[0], sp.len);
-    for (int i = 0; i < sp.len; ++i) {
-      ASSERT_TRUE(same_bits(wb.win[0][i], scalar_recurrence(h, z, i)))
-          << "W2=" << W2 << " degree=" << h.degree() << " k=" << k << " i=" << i;
+  std::vector<float> ks;
+  for (int j = 0; j < 64; ++j) ks.push_back(40.0f + static_cast<float>(j) / 64.0f);
+  for (int j = 0; j < 64; j += detail::kBlockLanes) {
+    WindowBuf wbs[detail::kBlockLanes];
+    detail::window_block<1, W2, true>(g, ev, {ks.data(), nullptr, nullptr}, j,
+                                      detail::kBlockLanes, false, wbs);
+    for (int l = 0; l < detail::kBlockLanes; ++l) {
+      const float k = ks[static_cast<std::size_t>(j + l)];
+      const WindowSpan sp = window_span(k, W);
+      const float z = static_cast<float>(sp.x1) - k + W;
+      ASSERT_EQ(wbs[l].len[0], sp.len);
+      for (int i = 0; i < sp.len; ++i) {
+        ASSERT_TRUE(same_bits(wbs[l].win[0][i], scalar_recurrence(h, z, i)))
+            << "W2=" << W2 << " degree=" << h.degree() << " k=" << k << " i=" << i;
+      }
     }
   }
 }
 
 TEST(Horner, RowsMatchScalarRecurrenceBitwise) {
-  // The one register-resident row evaluator (horner_rows), through both of
-  // its routes — KernelHorner::eval_window (runtime W) and the constexpr-W
-  // window_spec of the dispatch variants — equals the scalar recurrence
-  // bitwise: every z on a 1/64 grid plus the two clamps, every len, and no
+  // Both Horner evaluators — KernelHorner::eval_window (the per-sample row,
+  // lanes = segments) and the sample loop's constexpr-W window block (lanes
+  // = samples) — equal the scalar recurrence bitwise: every z on a 1/64
+  // grid, plus the two clamps and every len for eval_window, which must not
   // write past len.
   std::set<int> strides;
   std::vector<float> zs{-0.25f, 1.25f};
@@ -375,17 +382,143 @@ TEST(Horner, RowsMatchScalarRecurrenceBitwise) {
 #endif
 
   for (const int degree : {0, 1, 16}) {
-    expect_window_spec_rows<4>(degree);
-    expect_window_spec_rows<5>(degree);
-    expect_window_spec_rows<6>(degree);
-    expect_window_spec_rows<7>(degree);
-    expect_window_spec_rows<8>(degree);
+    expect_window_block_rows<4>(degree);
+    expect_window_block_rows<5>(degree);
+    expect_window_block_rows<6>(degree);
+    expect_window_block_rows<7>(degree);
+    expect_window_block_rows<8>(degree);
   }
 }
 
 TEST(Horner, RejectsNonHalfIntegerWidth) {
   const GaussianKernel g(1.7, 2.0);
   EXPECT_THROW(KernelHorner h(g), Error);
+}
+
+// ---- the sample loop's window block ----
+
+/// Coordinates where Part 1 is most fragile on an m-cell axis: a 1/64 grid
+/// over [0, m) (so windows wrap at both ends), 0 and the last float below
+/// m, and every integer and half-integer with its ±1-ulp neighbours — where
+/// the k ± W rounding trim admits or rejects an edge neighbour.
+std::vector<float> block_coordinates(index_t m) {
+  const auto mf = static_cast<float>(m);
+  std::vector<float> v{0.0f, std::nextafterf(mf, 0.0f)};
+  for (index_t j = 0; j < 64 * m; ++j) v.push_back(static_cast<float>(j) / 64.0f);
+  for (index_t i = 0; i < m; ++i) {
+    for (const float c : {static_cast<float>(i), static_cast<float>(i) + 0.5f}) {
+      v.push_back(c);
+      if (c > 0.0f) v.push_back(std::nextafterf(c, 0.0f));
+      v.push_back(std::nextafterf(c, mf));
+    }
+  }
+  return v;
+}
+
+/// Every field Part 2 reads: start, len, and up to len the indices and
+/// weights of each dimension, inner_contiguous, and with `dup` the
+/// duplicated last-dimension weights.
+void expect_same_window(const WindowBuf& got, const WindowBuf& want, int dim, bool dup) {
+  for (int d = 0; d < dim; ++d) {
+    ASSERT_EQ(got.start[d], want.start[d]) << "d=" << d;
+    ASSERT_EQ(got.len[d], want.len[d]) << "d=" << d;
+    for (int i = 0; i < want.len[d]; ++i) {
+      ASSERT_EQ(got.idx[d][i], want.idx[d][i]) << "d=" << d << " i=" << i;
+      ASSERT_TRUE(same_bits(got.win[d][i], want.win[d][i]))
+          << "d=" << d << " i=" << i << ": got " << got.win[d][i] << ", want " << want.win[d][i];
+    }
+  }
+  ASSERT_EQ(got.inner_contiguous, want.inner_contiguous);
+  for (int i = 0; dup && i < 2 * want.len[dim - 1]; ++i) {
+    ASSERT_TRUE(same_bits(got.win_dup[i], want.win_dup[i])) << "win_dup i=" << i;
+  }
+}
+
+/// The block against compute_window (the per-sample reference) on every
+/// coordinate of block_coordinates, each dimension walking the list from
+/// its own offset, in blocks of 1, 2, 3 and 4 valid lanes.
+template <int DIM, int W2, bool HORNER>
+void expect_block_matches_spec(const WindowEval& ev) {
+  const GridDesc g = make_grid(DIM, 16, 2.0);  // m = 32 holds the W = 9.5 window
+  const std::vector<float> axis = block_coordinates(g.m[0]);
+  const auto n = static_cast<index_t>(axis.size());
+  for (int lanes = 1; lanes <= detail::kBlockLanes; ++lanes) {
+    // Exactly `count` floats per axis, ending on a full block of `lanes`: a
+    // block that read past its last valid lane would leave the allocation,
+    // which the ASan sweep reports.
+    const index_t count = n - n % lanes;
+    std::array<std::vector<float>, 3> coords;
+    std::array<const float*, 3> c{nullptr, nullptr, nullptr};
+    for (int d = 0; d < DIM; ++d) {
+      auto& axis_d = coords[static_cast<std::size_t>(d)];
+      axis_d.resize(static_cast<std::size_t>(count));
+      for (index_t i = 0; i < count; ++i) {
+        axis_d[static_cast<std::size_t>(i)] = axis[static_cast<std::size_t>((i + d * n / 3) % n)];
+      }
+      c[static_cast<std::size_t>(d)] = axis_d.data();
+    }
+    for (const bool dup : {false, true}) {
+      for (index_t first = 0; first < count; first += lanes) {
+        WindowBuf got[detail::kBlockLanes];
+        std::memset(static_cast<void*>(got), 0xff, sizeof(got));
+        detail::window_block<DIM, W2, HORNER>(g, ev, c, first, lanes, dup, got);
+        for (int l = 0; l < lanes; ++l) {
+          float k[3] = {0.0f, 0.0f, 0.0f};
+          for (int d = 0; d < DIM; ++d) k[d] = c[static_cast<std::size_t>(d)][first + l];
+          WindowBuf want;
+          compute_window(g, ev, k, DIM, dup, want);
+          ASSERT_NO_FATAL_FAILURE(expect_same_window(got[l], want, DIM, dup))
+              << "d" << DIM << " W=" << ev.radius() << " W2=" << W2 << " lanes=" << lanes
+              << " lane=" << l << " dup=" << dup << " k=(" << k[0] << ", " << k[1] << ", "
+              << k[2] << ")";
+        }
+      }
+    }
+  }
+}
+
+template <int DIM, int W2, bool HORNER>
+void expect_block_at(double W) {
+  WindowEval ev;
+  if constexpr (HORNER) {
+    const KernelHorner h(EsKernel(W, 2.0));
+    ev.horner = &h;
+    expect_block_matches_spec<DIM, W2, HORNER>(ev);
+  } else {
+    const KernelLut lut(KaiserBessel::with_beatty_beta(W, 2.0), 512);
+    ev.lut = &lut;
+    expect_block_matches_spec<DIM, W2, HORNER>(ev);
+  }
+}
+
+/// The constexpr widths W2 = 4…8, and W read at run time at widths outside
+/// that table (W = 2.3 for the LUT only: Horner needs a half-integer W).
+template <int DIM, bool HORNER>
+void expect_block_all_widths() {
+  ASSERT_NO_FATAL_FAILURE((expect_block_at<DIM, 4, HORNER>(2.0)));
+  ASSERT_NO_FATAL_FAILURE((expect_block_at<DIM, 5, HORNER>(2.5)));
+  ASSERT_NO_FATAL_FAILURE((expect_block_at<DIM, 6, HORNER>(3.0)));
+  ASSERT_NO_FATAL_FAILURE((expect_block_at<DIM, 7, HORNER>(3.5)));
+  ASSERT_NO_FATAL_FAILURE((expect_block_at<DIM, 8, HORNER>(4.0)));
+  for (const double W : {1.5, 4.5, 9.5}) {
+    ASSERT_NO_FATAL_FAILURE((expect_block_at<DIM, 0, HORNER>(W)));
+  }
+  if constexpr (!HORNER) {
+    ASSERT_NO_FATAL_FAILURE((expect_block_at<DIM, 0, false>(2.3)));
+  }
+}
+
+TEST(WindowBlock, MatchesWindowSpecBitwise) {
+  // The sample loop's Part 1 runs four samples across SSE lanes; each lane
+  // must reproduce the per-sample reference bit for bit — geometry, trim,
+  // wrapped indices, Horner and LUT weights, the duplicated weights — on
+  // every dimension, evaluator and width, including partial blocks.
+  ASSERT_NO_FATAL_FAILURE((expect_block_all_widths<1, false>()));
+  ASSERT_NO_FATAL_FAILURE((expect_block_all_widths<1, true>()));
+  ASSERT_NO_FATAL_FAILURE((expect_block_all_widths<2, false>()));
+  ASSERT_NO_FATAL_FAILURE((expect_block_all_widths<2, true>()));
+  ASSERT_NO_FATAL_FAILURE((expect_block_all_widths<3, false>()));
+  ASSERT_NO_FATAL_FAILURE((expect_block_all_widths<3, true>()));
 }
 
 // ---- tolerance-driven planning ----

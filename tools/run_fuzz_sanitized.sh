@@ -7,7 +7,8 @@
 # and the parallel pipeline's pool-width determinism),
 # the convolution-dispatch suite (`ctest -L dispatch`, the constexpr-W vs
 # runtime-W bit-match matrix, the boundary-coordinate trim sweep and the
-# sample loop's value-block edges),
+# sample loop's value-block edges and 1–3-sample window-block tails, on
+# coordinate arrays that end with each range),
 # the streaming plan-update suite (`ctest -L streaming`, the warm-vs-cold
 # bit-match matrix — under TSan this races concurrent update-vs-apply paths
 # on the pool), the serving-layer suite (`ctest -L serve`), the chaos
@@ -19,7 +20,8 @@
 # the Toeplitz kernel and apply, density compensation, CG and the
 # multichannel reconstruction) and the kernel suite (`ctest -L kernels`: the
 # interpolation kernels, the LUT and the register-resident Horner row's
-# vector loads over the padded coefficient rows, the Part-2 convolution
+# vector loads over the padded coefficient rows, the Part-1 window block's
+# tail coordinate loads and clamped LUT reads, the Part-2 convolution
 # kernels' unaligned vector loads and stores, the FFTs and BatchFft's
 # zero-padded columns) under AddressSanitizer and
 # UndefinedBehaviorSanitizer, as CI does; pass `thread` to race-check the
