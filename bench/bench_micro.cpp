@@ -10,6 +10,7 @@
 #include "core/conv_variants.hpp"
 #include "core/convolution.hpp"
 #include "core/convolution_avx2.hpp"
+#include "core/toeplitz.hpp"
 #include "fft/fft1d.hpp"
 #include "fft/fftnd.hpp"
 #include "kernels/bessel.hpp"
@@ -98,6 +99,44 @@ void BM_PlanFft(benchmark::State& state) {
 BENCHMARK(BM_PlanFft)
     ->ArgsProduct({{3}, {128, 64}, {1, 8}, {0, 1}})
     ->ArgsProduct({{2}, {256}, {1, 8}, {0, 1}})
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+
+// ToeplitzNormal::apply on nb slices through a capacity-nb workspace, args
+// {dim, m, nb}; 3-D m 64 nb 8 is the apply of one mri_cg3d CG iteration.
+// Inputs and outputs are distinct buffers, so every iteration reads the same
+// input. `per_slice` is the time per slice.
+void BM_ToeplitzApply(benchmark::State& state) {
+  const int dim = static_cast<int>(state.range(0));
+  const index_t m = state.range(1);
+  const index_t nb = state.range(2);
+  datasets::TrajectoryParams p;
+  p.n = m / 2;
+  p.k = 64;
+  p.s = 16;
+  const datasets::SampleSet set =
+      datasets::make_trajectory(datasets::TrajectoryType::kRandom, dim, p);
+  const Nufft plan(make_grid(dim, m / 2, 2.0), set, bench::optimized_config(bench_threads()));
+  Workspace ws = plan.make_workspace(nb);
+  const ToeplitzNormal normal(plan, ws, plan.pool());
+  const cvecf x = bench::random_values(plan.image_elems(), 5);
+  std::vector<cvecf> y(static_cast<std::size_t>(nb), cvecf(x.size()));
+  std::vector<const cfloat*> in(static_cast<std::size_t>(nb), x.data());
+  std::vector<cfloat*> out;
+  for (auto& v : y) out.push_back(v.data());
+  for (auto _ : state) {
+    normal.apply(in.data(), out.data(), nb, ws, plan.pool());
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["per_slice"] =
+      benchmark::Counter(static_cast<double>(state.iterations() * nb),
+                         benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_ToeplitzApply)
+    ->Args({3, 64, 8})
+    ->Args({3, 128, 8})
+    ->Args({2, 256, 8})
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 

@@ -16,6 +16,10 @@ namespace {
 using fft::Direction;
 using simd::Vec4f;
 
+// Rows per block of a column-stage pass: 8 complex values are one 64-byte
+// cache line.
+constexpr index_t kRowBlock = 8;
+
 // Copy loops between the slabs and the column-interleaved buffer. One value,
 // two adjacent values, or a 2×2 tile: from a = (a0, a1), b = (b0, b1) to
 // lo = (a0, b0), hi = (a1, b1). The tile is its own inverse, so a scatter
@@ -60,9 +64,9 @@ struct BlockGeom {
 // walking the slabs at unit stride:
 //  * contiguous axis (ax_st = 1): buffer column j·nb + b is a grid line; a
 //    tile is elements k, k+1 of two adjacent columns (len is a power of two);
-//  * strided axis (bstride = 1): the block's piece of line k is contiguous.
-//    At nb = 1 it is a straight copy; otherwise a tile is rows j, j+1 of
-//    slices b, b+1, and the last slice of an odd nb moves value by value.
+//  * strided axis (bstride = 1): the block's piece of line k is contiguous,
+//    a straight copy. Only a 1-D batch has nb > 1 (BatchFft::transform), and
+//    its one axis is contiguous, so a strided axis moves one slice.
 template <bool kGather>
 void move_block(const BlockGeom& g, cfloat* p0, std::size_t blk, cfloat* buf, std::size_t cols) {
   using M = Mover<kGather>;
@@ -83,36 +87,12 @@ void move_block(const BlockGeom& g, cfloat* p0, std::size_t blk, cfloat* buf, st
     }
     return;
   }
-  if (g.nb == 1) {
-    for (std::size_t k = 0; k < g.len; ++k) {
-      cfloat* l = p0 + k * g.ax_st;
-      cfloat* d = buf + k * cols;
-      std::size_t j = 0;
-      for (; j + 1 < blk; j += 2) M::two(l + j, d + j);
-      if (j < blk) M::one(l + j, d + j);
-    }
-    return;
-  }
-  std::size_t b = 0;
-  for (; b + 1 < g.nb; b += 2) {
-    for (std::size_t k = 0; k < g.len; ++k) {
-      cfloat* l0 = p0 + b * g.slab + k * g.ax_st;
-      cfloat* l1 = l0 + g.slab;
-      cfloat* d = buf + k * cols + b;
-      std::size_t j = 0;
-      for (; j + 1 < blk; j += 2) M::tile(l0 + j, l1 + j, d + j * g.nb, d + (j + 1) * g.nb);
-      if (j < blk) {
-        M::one(l0 + j, d + j * g.nb);
-        M::one(l1 + j, d + j * g.nb + 1);
-      }
-    }
-  }
-  if (b < g.nb) {
-    for (std::size_t k = 0; k < g.len; ++k) {
-      cfloat* l = p0 + b * g.slab + k * g.ax_st;
-      cfloat* d = buf + k * cols + b;
-      for (std::size_t j = 0; j < blk; ++j) M::one(l + j, d + j * g.nb);
-    }
+  for (std::size_t k = 0; k < g.len; ++k) {
+    cfloat* l = p0 + k * g.ax_st;
+    cfloat* d = buf + k * cols;
+    std::size_t j = 0;
+    for (; j + 1 < blk; j += 2) M::two(l + j, d + j);
+    if (j < blk) M::one(l + j, d + j);
   }
 }
 
@@ -168,16 +148,55 @@ void BatchFft::transform(cfloat* slabs, index_t nb, Direction dir, ThreadPool& p
   // one restricted to the corner rows. Either way the axes a pass has not
   // reached (forward) or has finished (adjoint) are the ones above it. The
   // order depends on the direction only, never on nb or the backend.
+  //
+  // A 1-D slice is one row, so a 1-D batch runs as nb stage columns of one
+  // pass. Any other grid runs its slices through the per-slice schedule
+  // (ThreadPool::for_each_slice): all of a slice's passes back to back at
+  // nb = 1, whole on one context, or row-split across the pool for the
+  // leftover slices.
   const auto dim = static_cast<std::size_t>(g_.dim);
-  for (std::size_t i = 0; i < dim; ++i) {
-    const std::size_t a = dir == Direction::kForward ? i : dim - 1 - i;
-    obs::Span span("nufft.fft.axis", "core", static_cast<std::int64_t>(a));
-    axis_pass(slabs, nb, a, dir, pool, batched_stages);
+  const index_t pass_nb = dim == 1 ? nb : 1;
+  PassBuffers bufs{std::vector<aligned_vector<cfloat>>(static_cast<std::size_t>(pool.size())),
+                   pass_buffer_elems(pass_nb, dir, batched_stages)};
+  auto passes = [&](cfloat* s, int ctx, ThreadPool& p) {
+    for (std::size_t i = 0; i < dim; ++i) {
+      const std::size_t a = dir == Direction::kForward ? i : dim - 1 - i;
+      obs::Span span("nufft.fft.axis", "core", static_cast<std::int64_t>(a));
+      axis_pass(s, pass_nb, a, dir, p, batched_stages, bufs, ctx);
+    }
+  };
+  if (dim == 1) {
+    passes(slabs, 0, pool);
+    return;
   }
+  const auto slab = static_cast<std::size_t>(slab_elems_);
+  pool.for_each_slice(nb, [&](int ctx, index_t b, ThreadPool& p) {
+    passes(slabs + static_cast<std::size_t>(b) * slab, ctx, p);
+  });
+}
+
+std::size_t BatchFft::pad_cols(std::size_t c) const {
+  // AVX2 stages consume 4 complex columns per 256-bit op, SSE stages 2; the
+  // pad columns are zeroed.
+  const std::size_t colpad = avx2_ ? 3 : 1;
+  return (c + colpad) & ~colpad;
+}
+
+std::size_t BatchFft::pass_buffer_elems(index_t nb, Direction dir, bool batched_stages) const {
+  std::size_t elems = 0;
+  for (std::size_t a = 0; a < static_cast<std::size_t>(g_.dim); ++a) {
+    const auto len = static_cast<std::size_t>(g_.m[a]);
+    const std::size_t need =
+        batched_stages && pow2_[a]
+            ? 2 * len * pad_cols(static_cast<std::size_t>(kRowBlock * nb))
+            : len + (dir == Direction::kForward ? plans_fwd_ : plans_inv_)[a].scratch_size();
+    elems = std::max(elems, need);
+  }
+  return elems;
 }
 
 void BatchFft::axis_pass(cfloat* slabs, index_t nb, std::size_t axis, Direction dir,
-                         ThreadPool& pool, bool batched_stages) const {
+                         ThreadPool& pool, bool batched_stages, PassBuffers& bufs, int ctx) const {
   const std::size_t len = static_cast<std::size_t>(g_.m[axis]);
   if (len == 1) return;
   const int dim = g_.dim;
@@ -218,13 +237,9 @@ void BatchFft::axis_pass(cfloat* slabs, index_t nb, std::size_t axis, Direction 
     // Per-row path through the axis Fft1d (scalar plans and Bluestein axes),
     // one slice at a time.
     const fft::Fft1d<float>& plan = (dir == Direction::kForward ? plans_fwd_ : plans_inv_)[axis];
-    const std::size_t ssz = plan.scratch_size();
-    std::vector<aligned_vector<cfloat>> scratch(static_cast<std::size_t>(pool.size()));
     pool.parallel_for_tid(nrows, chunk, [&](int tid, index_t rb, index_t re) {
-      auto& buf = scratch[static_cast<std::size_t>(tid)];
-      if (buf.size() < len + ssz) buf.resize(len + ssz);
-      cfloat* row = buf.data();
-      cfloat* fs = buf.data() + len;
+      cfloat* row = bufs.get(ctx + tid);
+      cfloat* fs = row + len;
       for (index_t r = rb; r < re; ++r) {
         const index_t base = row_base(r);
         for (index_t b = 0; b < nb; ++b) {
@@ -245,20 +260,13 @@ void BatchFft::axis_pass(cfloat* slabs, index_t nb, std::size_t axis, Direction 
   const AxisStages& stg =
       (dir == Direction::kForward ? stages_fwd_ : stages_inv_)[axis];
   const int sign = static_cast<int>(dir);
-  // AVX2 stages consume 4 complex columns per 256-bit op, SSE stages 2;
-  // pad the column count (zeroed pad columns) to the vector width.
-  const std::size_t colpad = avx2_ ? 3 : 1;
-  auto pad_cols = [colpad](std::size_t c) { return (c + colpad) & ~colpad; };
-
   // Rows are transformed in blocks of up to kRowBlock adjacent rows, which
-  // become extra columns of one interleaved transform: 8 complex values are
-  // one 64-byte cache line. A block is a run of consecutive indices of the
-  // innermost row-coordinate list, so it never crosses a gap between corner
-  // runs (the corner set is [0, n−n/2) ∪ [m−n/2, m)) or an outer row, and
-  // its rows sit `bstride` apart. A strided axis blocks along the contiguous
-  // dimension (bstride 1), the contiguous axis along the next axis out
-  // (bstride m[dim−1]).
-  constexpr index_t kRowBlock = 8;
+  // become extra columns of one interleaved transform. A block is a run of
+  // consecutive indices of the innermost row-coordinate list, so it never
+  // crosses a gap between corner runs (the corner set is [0, n−n/2) ∪
+  // [m−n/2, m)) or an outer row, and its rows sit `bstride` apart. A strided
+  // axis blocks along the contiguous dimension (bstride 1), the contiguous
+  // axis along the next axis out (bstride m[dim−1]).
   const std::vector<index_t>* ilist = nlists > 0 ? lists[nlists - 1] : nullptr;
   const index_t ilen = nlists > 0 ? static_cast<index_t>(ilist->size()) : 1;
   const auto bstride = static_cast<std::size_t>(nlists > 0 ? lstrides[nlists - 1] : 0);
@@ -283,20 +291,17 @@ void BatchFft::axis_pass(cfloat* slabs, index_t nb, std::size_t axis, Direction 
   const BlockGeom geom{len, static_cast<std::size_t>(ax_st), bstride,
                        static_cast<std::size_t>(slab_elems_), unb};
 
-  const std::size_t bufn = len * pad_cols(static_cast<std::size_t>(kRowBlock * nb));
   const index_t ngroups = (nrows / ilen) * nblocks;
   const index_t gchunk = ngroups / (static_cast<index_t>(pool.size()) * 8) + 1;
-  std::vector<aligned_vector<cfloat>> scratch(static_cast<std::size_t>(pool.size()));
   pool.parallel_for_tid(ngroups, gchunk, [&](int tid, index_t gb, index_t ge) {
-    auto& buf = scratch[static_cast<std::size_t>(tid)];
-    if (buf.size() < 2 * bufn) buf.resize(2 * bufn);
+    cfloat* const buf = bufs.get(ctx + tid);
     for (index_t gi = gb; gi < ge; ++gi) {
       const Block bk = blocks[static_cast<std::size_t>(gi % nblocks)];
       const index_t base = row_base((gi / nblocks) * ilen + bk.i0);
       const auto blk = static_cast<std::size_t>(bk.blk);
       const std::size_t cols = pad_cols(blk * unb);
-      cfloat* cur = buf.data();
-      cfloat* alt = buf.data() + len * cols;
+      cfloat* cur = buf;
+      cfloat* alt = buf + len * cols;
       move_block<true>(geom, slabs + base, blk, cur, cols);
       for (std::size_t pad = blk * unb; pad < cols; ++pad) {
         for (std::size_t k = 0; k < len; ++k) cur[k * cols + pad] = cfloat(0.0f, 0.0f);

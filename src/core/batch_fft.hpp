@@ -32,11 +32,22 @@
 // Every pow2 axis of a SIMD plan takes the column stages at every nb; scalar
 // plans and Bluestein axes run rows through the per-axis Fft1d plans. The
 // forward walks the axes ascending, the inverse descending, whatever nb is;
-// each axis pass records one `nufft.fft.axis` span (arg = the axis).
+// each axis pass records one `nufft.fft.axis` span (arg = the axis) on the
+// thread that ran it.
+//
+// Batch schedule. A 1-D slice is one row, so a 1-D batch runs as nb stage
+// columns of one pass per axis. Every other grid runs slices, not rows, in
+// parallel (ThreadPool::for_each_slice): with P pool contexts the first
+// ⌊nb/P⌋·P slices run whole, each context taking one slice at a time and
+// running all its passes back to back at nb = 1 on its own core; the
+// nb mod P leftover slices (a single apply's one slice when nb < P) run one
+// at a time with their rows split across the pool. Pass buffers are
+// allocated once per call, one per context.
 //
 // Batch-width contract: columns never mix (every lane of a stage runs the
-// same arithmetic on its own column), so slice b of an nb-slice transform
-// equals the nb = 1 transform of slice b bitwise, on every backend.
+// same arithmetic on its own column) and a slice's arithmetic does not
+// depend on where it runs, so slice b of an nb-slice transform equals the
+// nb = 1 transform of slice b bitwise, on every backend and pool width.
 #pragma once
 
 #include <array>
@@ -60,9 +71,10 @@ class BatchFft {
   BatchFft(const GridDesc& g, const std::array<std::vector<index_t>, 3>& wrap,
            bool avx2 = avx2_available());
 
-  /// In-place transform of nb slabs (slab b at slabs + b·grid_elems()).
-  /// `batched_stages` (the plan is SIMD) runs every pow2 axis through the
-  /// column-interleaved stages; rows fall back to the axis Fft1d otherwise.
+  /// In-place transform of nb slabs (slab b at slabs + b·grid_elems()),
+  /// scheduled as the header describes. `batched_stages` (the plan is SIMD)
+  /// runs every pow2 axis through the column-interleaved stages; rows fall
+  /// back to the axis Fft1d otherwise.
   void transform(cfloat* slabs, index_t nb, fft::Direction dir, ThreadPool& pool,
                  bool batched_stages) const;
 
@@ -72,8 +84,26 @@ class BatchFft {
     std::vector<int> radix;                  // 4 or 2, matching Fft1d's plan
   };
 
+  // One transform call's pass buffers: one per pool context, each sized
+  // once, on first use, for the call's largest pass.
+  struct PassBuffers {
+    std::vector<aligned_vector<cfloat>> ctx;
+    std::size_t elems;
+    cfloat* get(int c) {
+      auto& b = ctx[static_cast<std::size_t>(c)];
+      if (b.size() < elems) b.resize(elems);
+      return b.data();
+    }
+  };
+
+  // One axis pass over nb slabs (nb > 1 only on a 1-D grid) on `pool`, whose
+  // context t uses bufs.get(ctx + t).
   void axis_pass(cfloat* slabs, index_t nb, std::size_t axis, fft::Direction dir,
-                 ThreadPool& pool, bool batched_stages) const;
+                 ThreadPool& pool, bool batched_stages, PassBuffers& bufs, int ctx) const;
+  // Cells of one pass buffer for the largest pass at width nb.
+  std::size_t pass_buffer_elems(index_t nb, fft::Direction dir, bool batched_stages) const;
+  // Column count rounded up to the stages' vector width.
+  std::size_t pad_cols(std::size_t c) const;
 
   GridDesc g_;
   std::array<std::vector<index_t>, 3> corner_;

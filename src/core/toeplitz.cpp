@@ -39,26 +39,22 @@ struct Axes {
   }
 };
 
-// Write every cell of nb slabs once: image values at the wrap positions, zero
+// Write every cell of a slab once: image values at the wrap positions, zero
 // elsewhere (Nufft::image_to_grid without its scale).
-void pad(const Axes& ax, const cfloat* const* images, cfloat* grid, std::size_t slab, index_t nb,
-         ThreadPool& pool) {
+void pad(const Axes& ax, const cfloat* image, cfloat* grid, ThreadPool& pool) {
   const index_t m2 = ax.m[2];
   const index_t n2 = ax.n[2];
   const index_t h2 = ax.h[2];
-  const index_t rows = ax.m[0] * ax.m[1];
-  pool.parallel_for(nb * rows, [&](index_t b, index_t e) {
-    for (index_t r = b; r < e; ++r) {
-      const index_t s = r / rows;
-      const index_t g01 = r % rows;
-      cfloat* row = grid + static_cast<std::size_t>(s) * slab + g01 * m2;
+  pool.parallel_for(ax.m[0] * ax.m[1], [&](index_t b, index_t e) {
+    for (index_t g01 = b; g01 < e; ++g01) {
+      cfloat* row = grid + g01 * m2;
       const index_t i0 = ax.to_image(0, g01 / ax.m[1]);
       const index_t i1 = ax.to_image(1, g01 % ax.m[1]);
       if (i0 < 0 || i1 < 0) {
         zero_complex(row, static_cast<std::size_t>(m2));
         continue;
       }
-      const cfloat* src = images[s] + (i0 * ax.n[1] + i1) * n2;
+      const cfloat* src = image + (i0 * ax.n[1] + i1) * n2;
       std::copy(src + h2, src + n2, row);
       zero_complex(row + (n2 - h2), static_cast<std::size_t>(m2 - n2));
       std::copy(src, src + h2, row + (m2 - h2));
@@ -66,21 +62,17 @@ void pad(const Axes& ax, const cfloat* const* images, cfloat* grid, std::size_t 
   });
 }
 
-// Read nb images back from the corner cells of their slabs.
-void crop(const Axes& ax, const cfloat* grid, std::size_t slab, cfloat* const* images, index_t nb,
-          ThreadPool& pool) {
+// Read an image back from the corner cells of its slab.
+void crop(const Axes& ax, const cfloat* grid, cfloat* image, ThreadPool& pool) {
   const index_t m2 = ax.m[2];
   const index_t n2 = ax.n[2];
   const index_t h2 = ax.h[2];
-  const index_t rows = ax.n[0] * ax.n[1];
-  pool.parallel_for(nb * rows, [&](index_t b, index_t e) {
-    for (index_t r = b; r < e; ++r) {
-      const index_t s = r / rows;
-      const index_t i01 = r % rows;
+  pool.parallel_for(ax.n[0] * ax.n[1], [&](index_t b, index_t e) {
+    for (index_t i01 = b; i01 < e; ++i01) {
       const index_t g0 = ax.to_grid(0, i01 / ax.n[1]);
       const index_t g1 = ax.to_grid(1, i01 % ax.n[1]);
-      const cfloat* row = grid + static_cast<std::size_t>(s) * slab + (g0 * ax.m[1] + g1) * m2;
-      cfloat* dst = images[s] + i01 * n2;
+      const cfloat* row = grid + (g0 * ax.m[1] + g1) * m2;
+      cfloat* dst = image + i01 * n2;
       std::copy(row, row + (n2 - h2), dst + h2);
       std::copy(row + (m2 - h2), row + m2, dst);
     }
@@ -211,23 +203,26 @@ void ToeplitzNormal::apply(const cfloat* const* in, cfloat* const* out, index_t 
   const float* const kernel = kernel_.data();
   obs::Span span("toeplitz.apply", "core", nb);
   for (index_t off = 0; off < nb; off += ws.capacity) {
-    const index_t cnt = std::min(ws.capacity, nb - off);
-    pad(ax, in + off, grid, slab, cnt, pool);
-    {
-      obs::Span s("nufft.fft", "core", cnt);
-      plan_->grid_fft(grid, cnt, fft::Direction::kForward, pool);
-    }
-    pool.parallel_for(static_cast<index_t>(slab), [&](index_t b, index_t e) {
-      for (index_t k = 0; k < cnt; ++k) {
-        cfloat* cells = grid + static_cast<std::size_t>(k) * slab;
-        for (index_t i = b; i < e; ++i) cells[i] *= kernel[i];
+    // One body per slice, on the slice's own slab: whole slices keep their
+    // entire normal-operator apply on one core (ThreadPool::for_each_slice).
+    pool.for_each_slice(std::min(ws.capacity, nb - off), [&](int, index_t k, ThreadPool& p) {
+      const index_t b = off + k;
+      obs::Span slice("toeplitz.slice", "core", b);
+      cfloat* const cells = grid + static_cast<std::size_t>(k) * slab;
+      pad(ax, in[b], cells, p);
+      {
+        obs::Span s("nufft.fft", "core", 1);
+        plan_->grid_fft(cells, 1, fft::Direction::kForward, p);
       }
+      p.parallel_for(static_cast<index_t>(slab), [&](index_t lo, index_t hi) {
+        for (index_t i = lo; i < hi; ++i) cells[i] *= kernel[i];
+      });
+      {
+        obs::Span s("nufft.fft", "core", 1);
+        plan_->grid_fft(cells, 1, fft::Direction::kInverse, p);
+      }
+      crop(ax, cells, out[b], p);
     });
-    {
-      obs::Span s("nufft.fft", "core", cnt);
-      plan_->grid_fft(grid, cnt, fft::Direction::kInverse, pool);
-    }
-    crop(ax, grid, slab, out + off, cnt, pool);
   }
 }
 

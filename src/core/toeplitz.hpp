@@ -16,6 +16,14 @@
 // application is the forward/adjoint pair's two FFT passes with both
 // convolutions replaced by one pointwise multiply by the real T̂.
 //
+// A batch applies slice by slice: pad, forward FFT, multiply, inverse FFT and
+// crop are one body on the slice's own slab (`toeplitz.slice` span), run
+// through the per-slice schedule (ThreadPool::for_each_slice). With P pool
+// contexts, whole slices run one per context at a time, so a slice's entire
+// apply stays on one core; leftover slices (the one slice of nb = 1 when
+// P > 1) split their rows across the pool. A slice's arithmetic is the same
+// either way, so slice b of a batch equals its single apply bitwise.
+//
 // q is computed once, with one adjoint apply of 2^d slices through the plan
 // itself: slice s carries W_w·e^{+2πi(w−M/2)·s/M} with s_d = ±⌊n_d/2⌋, so its
 // image index n (centered) holds q[n + s], and the 2^d shifts cover (−N, N)^d
@@ -45,7 +53,8 @@ class ToeplitzNormal {
                  const float* weights = nullptr);
 
   /// out[b] = AᴴWA·in[b] for b < nb (image_elems() values each; in == out is
-  /// allowed), in chunks of ws.capacity slices over ws's grid slabs.
+  /// allowed), in chunks of ws.capacity slices over ws's grid slabs, each
+  /// slice whole on one context or row-split (see the header comment).
   /// Re-entrant on the same object with distinct workspaces and pools.
   void apply(const cfloat* const* in, cfloat* const* out, index_t nb, Workspace& ws,
              ThreadPool& pool) const;

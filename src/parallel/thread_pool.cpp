@@ -105,6 +105,22 @@ void ThreadPool::parallel_for_tid(index_t n, index_t chunk,
   });
 }
 
+void ThreadPool::for_each_slice(index_t nb,
+                                const std::function<void(int, index_t, ThreadPool&)>& fn) {
+  const index_t whole = nthreads_ == 1 ? 0 : nb / nthreads_ * nthreads_;
+  if (whole > 0) {
+    // Dynamic, so a run_on_all degraded to the caller alone still runs all.
+    std::atomic<index_t> next{0};
+    run_on_all([&](int ctx) {
+      ThreadPool inline_pool(1);
+      for (index_t b; (b = next.fetch_add(1, std::memory_order_relaxed)) < whole;) {
+        fn(ctx, b, inline_pool);
+      }
+    });
+  }
+  for (index_t b = whole; b < nb; ++b) fn(0, b, *this);
+}
+
 void ThreadPool::for_static_chunks(index_t n, int nchunks,
                                    const std::function<void(int, index_t, index_t)>& fn) {
   if (n <= 0) return;

@@ -1,11 +1,14 @@
 // Persistent worker-thread pool.
 //
-// The pool provides two primitives:
+// The pool provides three primitives:
 //   * run_on_all(fn)  — every execution context (caller thread + workers)
 //     runs fn(tid) exactly once; used by the TDG scheduler, whose contexts
 //     pull tasks from a shared queue until the graph drains.
 //   * parallel_for    — dynamically chunked loop parallelism; used for the
-//     forward (gather) convolution, batched FFT rows, and point-wise scaling.
+//     forward (gather) convolution, FFT rows, and point-wise scaling.
+//   * for_each_slice  — the per-slice batch schedule: whole slices of a batch
+//     per context, each on a one-context pool; used by the batched FFT and
+//     the Toeplitz apply.
 //
 // The caller's thread is execution context 0, so a pool of size T uses
 // exactly T OS threads (T-1 workers), matching how the paper counts cores.
@@ -63,6 +66,18 @@ class ThreadPool {
   /// callers can keep per-thread scratch (e.g. FFT row buffers).
   void parallel_for_tid(index_t n, index_t chunk,
                         const std::function<void(int, index_t, index_t)>& fn);
+
+  /// The per-slice batch schedule: fn(ctx, b, slice_pool) once per slice
+  /// b < nb, where fn runs all of slice b's work on slice_pool. With
+  /// P = size() contexts, the first ⌊nb/P⌋·P slices run whole: each context
+  /// takes one slice at a time and runs it on a one-context pool of its own
+  /// (inline, no thread), so a slice stays on one core; ctx is that context.
+  /// The nb mod P leftover slices then run one at a time on the caller with
+  /// slice_pool = *this and ctx = 0, splitting each slice's work across the
+  /// pool. Either way slice_pool's context t is context ctx + t of this
+  /// pool, so per-context scratch indexed that way is never shared. A
+  /// one-context pool runs every slice on itself.
+  void for_each_slice(index_t nb, const std::function<void(int, index_t, ThreadPool&)>& fn);
 
   /// Deterministic static decomposition: split [0, n) into `nchunks` equal
   /// contiguous chunks (chunk c spans [c·n/nchunks, (c+1)·n/nchunks)) and run

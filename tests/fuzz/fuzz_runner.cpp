@@ -14,6 +14,7 @@
 #include "common/rng.hpp"
 #include "core/convolution_avx2.hpp"
 #include "core/nufft.hpp"
+#include "core/toeplitz.hpp"
 #include "exec/batch_nufft.hpp"
 #include "kernels/es_kernel.hpp"
 
@@ -429,6 +430,31 @@ void run_full(const FuzzConfig& c, Report& rep) {
         bplan.adjoint(raws_in[bs].data(), single_img.data());
         rep.check_bitwise(slice + " adjoint vs single apply", imgs_out[bs].data(),
                           single_img.data(), g.image_elems());
+      }
+    }
+
+    // The Toeplitz apply's batch schedule (whole slices per context, leftover
+    // slices row-split) at the config's pool width: each slice equals its
+    // single apply bitwise, on every backend. Needs the embedding grid
+    // (m ≥ 2n − 1); d ≥ 2, where slices run through that schedule.
+    if (c.dim >= 2 && c.m >= 2 * c.n - 1) {
+      for (std::size_t v = 0; v < plans.size(); ++v) {
+        Workspace ws = plans[v]->make_workspace(c.batch);
+        Workspace ws1 = plans[v]->make_workspace(1);
+        const ToeplitzNormal normal(*plans[v], ws, pool);
+        std::vector<cvecf> outs(static_cast<std::size_t>(c.batch),
+                                cvecf(static_cast<std::size_t>(g.image_elems())));
+        std::vector<cfloat*> out_ptrs;
+        for (auto& o : outs) out_ptrs.push_back(o.data());
+        normal.apply(img_ptrs.data(), out_ptrs.data(), c.batch, ws, pool);
+        cvecf single(static_cast<std::size_t>(g.image_elems()));
+        for (index_t b = 0; b < c.batch; ++b) {
+          const auto bs = static_cast<std::size_t>(b);
+          normal.apply(imgs[bs].data(), single.data(), ws1, pool);
+          rep.check_bitwise(std::string(variants[v].name) + " toeplitz slice " +
+                                std::to_string(b) + " vs single apply",
+                            outs[bs].data(), single.data(), g.image_elems());
+        }
       }
     }
   }

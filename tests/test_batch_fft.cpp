@@ -1,12 +1,14 @@
 // BatchFft, the plan's FFT, tested directly over its three stage paths
 // (scalar per-row Fft1d, SSE and AVX2 column stages) × d = 1–3 × {pow2,
-// Bluestein} grids × nb ∈ {1, 2, 5}:
+// Bluestein} grids × nb ∈ {1, 2, 3, 4, 5, 8} × pools of 1–3 contexts:
 //
 //  * unpruned (all-index wrap lists), it computes the DFT: each slice
 //    matches fft::FftNd<double> within float rounding, forward and inverse;
 //  * the batch-width contract: slice b of an nb-slice call equals the
 //    nb = 1 call on slice b bitwise, so zero-padded columns and adjacent-row
-//    blocks never leak into a slice's arithmetic;
+//    blocks never leak into a slice's arithmetic, and neither does the batch
+//    schedule (whole slices per context, leftover slices row-split) at any
+//    pool width;
 //  * both instantiations of the column-stage template, bitwise: the SSE
 //    stages equal the per-row Fft1d path, the AVX2 stages a scalar model of
 //    their lane arithmetic;
@@ -20,6 +22,7 @@
 #include <cmath>
 #include <cstring>
 #include <initializer_list>
+#include <memory>
 #include <numeric>
 #include <string>
 #include <vector>
@@ -121,8 +124,14 @@ void expect_slices_equal_single_calls(const BatchFft& fft, const cvecf& in,
   }
 }
 
+// Each slice is also checked through the batch schedule: through pools of
+// 1, 2 and 3 contexts, nb ∈ {1, 2, 3, 4, 5, 8} runs whole slices only, whole
+// plus leftover slices, or leftover slices only, and every slice must equal
+// its nb = 1 call (row-split on the 2-context pool) bitwise.
 TEST(BatchFft, UnprunedMatchesFftNdAndSlicesEqualSingleCalls) {
-  constexpr index_t kSlices = 5;
+  constexpr index_t kSlices = 8;
+  std::vector<std::unique_ptr<ThreadPool>> widths;
+  for (const int width : {1, 2, 3}) widths.push_back(std::make_unique<ThreadPool>(width));
   for (const StagePath& path : stage_paths()) {
     for (int dim = 1; dim <= 3; ++dim) {
       for (const bool pow2 : {true, false}) {
@@ -155,8 +164,11 @@ TEST(BatchFft, UnprunedMatchesFftNdAndSlicesEqualSingleCalls) {
                   << what << " slice " << b << ": SSE stages differ from the Fft1d rows";
             }
           }
-          expect_slices_equal_single_calls(fft, input, single, {1, 2, kSlices}, dir, pool,
-                                           path.stages, what);
+          for (const auto& p : widths) {
+            expect_slices_equal_single_calls(fft, input, single, {1, 2, 3, 4, 5, 8}, dir, *p,
+                                             path.stages,
+                                             what + " pool " + std::to_string(p->size()));
+          }
         }
       }
     }

@@ -575,6 +575,68 @@ TEST(Trace, FftAxisSpansSplitTheFftSpanByAxis) {
   }
 }
 
+// A batched driver apply at pool width 2: one nufft.fft span (arg nb) per FFT
+// step on the calling thread, and each slice's axis passes, in pass order,
+// on the thread that ran the slice, inside that span. nb = 3 runs two whole
+// slices and one leftover slice row-split from the caller; nb = 8 runs whole
+// slices only.
+TEST(Trace, BatchedFftRecordsEachSlicesPassesOnItsThread) {
+  ObsGuard guard;
+  const GridDesc g = make_grid(3, 8, 2.0);
+  const auto set = testing::small_trajectory(TrajectoryType::kRandom, 3, 8, 400);
+  Nufft plan(g, set, PlanConfig{});
+  ThreadPool pool(2);
+  constexpr index_t kMax = 8;
+  Workspace ws = plan.make_workspace(kMax);
+  std::vector<cvecf> imgs(kMax, testing::random_image(g.image_elems(), 8));
+  std::vector<cvecf> raws(kMax, testing::random_raw(set.count(), 9));
+  std::vector<cfloat*> img_ptrs, raw_ptrs;
+  for (index_t b = 0; b < kMax; ++b) {
+    img_ptrs.push_back(imgs[static_cast<std::size_t>(b)].data());
+    raw_ptrs.push_back(raws[static_cast<std::size_t>(b)].data());
+  }
+
+  for (const index_t nb : {3, 8}) {
+    for (const bool fwd : {true, false}) {
+      const std::string what = "nb " + std::to_string(nb) + (fwd ? " forward" : " adjoint");
+      obs::set_trace_enabled(true);
+      obs::reset_spans();
+      if (fwd) {
+        plan.forward(img_ptrs.data(), raw_ptrs.data(), nb, ws, pool);
+      } else {
+        plan.adjoint(raw_ptrs.data(), img_ptrs.data(), nb, ws, pool);
+      }
+      obs::set_trace_enabled(false);
+      std::vector<obs::SpanEvent> applies, ffts, axes;
+      for (const auto& s : obs::drain_spans()) {
+        const std::string_view name = s.name;
+        if (name == (fwd ? "nufft.forward" : "nufft.adjoint")) applies.push_back(s);
+        if (name == "nufft.fft") ffts.push_back(s);
+        if (name == "nufft.fft.axis") axes.push_back(s);
+      }
+      ASSERT_EQ(applies.size(), 1u) << what;
+      ASSERT_EQ(ffts.size(), 1u) << what;
+      EXPECT_EQ(ffts[0].arg, nb) << what;
+      EXPECT_EQ(ffts[0].tid, applies[0].tid) << what;
+      ASSERT_EQ(axes.size(), static_cast<std::size_t>(3 * nb)) << what;
+      std::sort(axes.begin(), axes.end(), [](const obs::SpanEvent& a, const obs::SpanEvent& b) {
+        return a.tid != b.tid ? a.tid < b.tid : a.t0_ns < b.t0_ns;
+      });
+      for (std::size_t i = 0; i < axes.size(); ++i) {
+        EXPECT_GE(axes[i].t0_ns, ffts[0].t0_ns) << what;
+        EXPECT_LE(axes[i].t1_ns, ffts[0].t1_ns) << what;
+        // A thread runs one slice at a time: its passes come in whole groups
+        // in the direction's axis order.
+        const auto step = static_cast<std::int64_t>(i % 3);
+        EXPECT_EQ(axes[i].arg, fwd ? step : 2 - step) << what << " pass " << i;
+        if (i % 3 != 0) {
+          EXPECT_EQ(axes[i].tid, axes[i - 1].tid) << what << " pass " << i;
+        }
+      }
+    }
+  }
+}
+
 // --- engine / registry counters ---------------------------------------------
 
 TEST(Metrics, EngineAndRegistryCountersMirrorStats) {

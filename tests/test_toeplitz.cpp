@@ -1,6 +1,7 @@
 // Tests for the Toeplitz-embedded normal operator.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <string>
@@ -139,44 +140,64 @@ TEST(Toeplitz, RejectsGridBelowTwiceTheImage) {
   }
 }
 
-// A batch of 5 at capacity 2 runs chunks of 2, 2 and 1. The plan's FFT
-// never mixes slices, so on every backend each slice equals a single apply
-// bitwise.
+// The batch schedule never reaches a slice's bits. nb = 8 at capacity 5
+// runs chunks of 5 and 3: through pools of 1, 2 and 3 contexts the chunks
+// end in 0, 1 or 2 leftover row-split slices after their whole ones. On every
+// backend, 2-D and 3-D, each slice equals a single apply on a one-context
+// pool bitwise, with out != in and in place.
 TEST(Toeplitz, ChunkedBatchEqualsSingleApplies) {
+  constexpr std::size_t kSlices = 8;
+  ThreadPool one(1);
   for (const int backend : {0, 1, 2}) {
     if (backend == 2 && !avx2_available()) continue;
-    SCOPED_TRACE("backend " + std::to_string(backend));
-    const GridDesc g = make_grid(3, 8, 2.0);
-    const auto set = testing::small_trajectory(TrajectoryType::kRadial, 3, 8, 500);
-    PlanConfig cfg;
-    cfg.threads = 2;
-    cfg.use_simd = backend != 0;
-    cfg.isa = backend == 2 ? SimdIsa::kAvx2 : SimdIsa::kSse;
-    Nufft plan(g, set, cfg);
-    Workspace ws2 = plan.make_workspace(2);
-    Workspace ws1 = plan.make_workspace(1);
-    ToeplitzNormal normal(plan, ws2, plan.pool());
+    for (const int dim : {2, 3}) {
+      SCOPED_TRACE("backend " + std::to_string(backend) + " d" + std::to_string(dim));
+      const index_t n = dim == 3 ? 8 : 16;
+      const GridDesc g = make_grid(dim, n, 2.0);
+      const auto set = testing::small_trajectory(TrajectoryType::kRadial, dim, n, 500);
+      PlanConfig cfg;
+      cfg.use_simd = backend != 0;
+      cfg.isa = backend == 2 ? SimdIsa::kAvx2 : SimdIsa::kSse;
+      Nufft plan(g, set, cfg);
+      Workspace ws5 = plan.make_workspace(5);
+      Workspace ws1 = plan.make_workspace(1);
+      const ToeplitzNormal normal(plan, ws5, one);
 
-    const auto n = static_cast<std::size_t>(g.image_elems());
-    std::vector<cvecf> x(5);
-    std::vector<cvecf> batched(5, cvecf(n));
-    std::vector<const cfloat*> in;
-    std::vector<cfloat*> out;
-    for (std::size_t b = 0; b < 5; ++b) {
-      x[b] = testing::random_image(g.image_elems(), 30 + b);
-      in.push_back(x[b].data());
-      out.push_back(batched[b].data());
-    }
-    normal.apply(in.data(), out.data(), 5, ws2, plan.pool());
-    for (std::size_t b = 0; b < 5; ++b) {
-      cvecf single(n);
-      normal.apply(x[b].data(), single.data(), ws1, plan.pool());
-      ASSERT_EQ(std::memcmp(batched[b].data(), single.data(), n * sizeof(cfloat)), 0)
-          << "slice " << b;
+      const auto ni = static_cast<std::size_t>(g.image_elems());
+      std::vector<cvecf> x(kSlices);
+      std::vector<cvecf> single(kSlices, cvecf(ni));
+      for (std::size_t b = 0; b < kSlices; ++b) {
+        x[b] = testing::random_image(g.image_elems(), 30 + b);
+        normal.apply(x[b].data(), single[b].data(), ws1, one);
+      }
+      for (const int width : {1, 2, 3}) {
+        ThreadPool pool(width);
+        for (const bool in_place : {false, true}) {
+          std::vector<cvecf> got = x;
+          std::vector<cvecf> sep(kSlices, cvecf(ni));
+          std::vector<const cfloat*> in;
+          std::vector<cfloat*> out;
+          for (std::size_t b = 0; b < kSlices; ++b) {
+            in.push_back(got[b].data());
+            out.push_back(in_place ? got[b].data() : sep[b].data());
+          }
+          normal.apply(in.data(), out.data(), static_cast<index_t>(kSlices), ws5, pool);
+          for (std::size_t b = 0; b < kSlices; ++b) {
+            EXPECT_EQ(std::memcmp(out[b], single[b].data(), ni * sizeof(cfloat)), 0)
+                << "pool " << width << (in_place ? " in place" : "") << " slice " << b;
+          }
+        }
+      }
     }
   }
 }
 
+// One `toeplitz.apply` span (arg nb) on the caller; under it one
+// `toeplitz.slice` span per slice (arg = the slice) on the thread that ran
+// it, holding that slice's two FFTs as `nufft.fft` spans (arg 1). nb = 3 at
+// capacity 2: on one context every slice runs whole on the caller; on two,
+// the first chunk's two slices run whole, one per context at a time, and the
+// second chunk's one slice is a leftover, row-split from the caller.
 TEST(Toeplitz, ApplyRecordsOneSpanWithFftPassesPerChunk) {
   const GridDesc g = make_grid(2, 16, 2.0);
   const auto set = testing::small_trajectory(TrajectoryType::kRandom, 2, 16, 600);
@@ -187,20 +208,100 @@ TEST(Toeplitz, ApplyRecordsOneSpanWithFftPassesPerChunk) {
   std::vector<cfloat*> ptrs;
   for (auto& v : x) ptrs.push_back(v.data());
 
-  const bool was_on = obs::trace_enabled();
-  obs::reset_spans();
-  obs::set_trace_enabled(true);
-  normal.apply(ptrs.data(), ptrs.data(), 3, ws, plan.pool());
-  obs::set_trace_enabled(was_on);
-  std::vector<std::int64_t> apply_args;
-  std::vector<std::int64_t> fft_args;
-  for (const auto& e : obs::drain_spans()) {
-    if (std::string(e.name) == "toeplitz.apply") apply_args.push_back(e.arg);
-    if (std::string(e.name) == "nufft.fft") fft_args.push_back(e.arg);
-    EXPECT_NE(std::string(e.name), "nufft.conv");
+  for (const int width : {1, 2}) {
+    SCOPED_TRACE("pool " + std::to_string(width));
+    ThreadPool pool(width);
+    const bool was_on = obs::trace_enabled();
+    obs::reset_spans();
+    obs::set_trace_enabled(true);
+    normal.apply(ptrs.data(), ptrs.data(), 3, ws, pool);
+    obs::set_trace_enabled(was_on);
+    std::vector<obs::SpanEvent> applies, slices, ffts;
+    for (const auto& e : obs::drain_spans()) {
+      const std::string name = e.name;
+      if (name == "toeplitz.apply") applies.push_back(e);
+      if (name == "toeplitz.slice") slices.push_back(e);
+      if (name == "nufft.fft") ffts.push_back(e);
+      EXPECT_NE(name, "nufft.conv");
+    }
+    ASSERT_EQ(applies.size(), 1u);
+    EXPECT_EQ(applies[0].arg, 3);
+    std::vector<std::int64_t> slice_args;
+    for (const auto& s : slices) {
+      slice_args.push_back(s.arg);
+      EXPECT_GE(s.t0_ns, applies[0].t0_ns);
+      EXPECT_LE(s.t1_ns, applies[0].t1_ns);
+      if (width == 1 || s.arg == 2) {
+        EXPECT_EQ(s.tid, applies[0].tid) << "slice " << s.arg;
+      }
+    }
+    std::sort(slice_args.begin(), slice_args.end());
+    EXPECT_EQ(slice_args, (std::vector<std::int64_t>{0, 1, 2}));
+    ASSERT_EQ(ffts.size(), 6u);
+    for (const auto& f : ffts) {
+      EXPECT_EQ(f.arg, 1);
+      const auto inside = std::count_if(slices.begin(), slices.end(), [&](const obs::SpanEvent& s) {
+        return s.tid == f.tid && s.t0_ns <= f.t0_ns && f.t1_ns <= s.t1_ns;
+      });
+      EXPECT_EQ(inside, 1) << "an FFT span sits in exactly one slice span of its thread";
+    }
   }
-  EXPECT_EQ(apply_args, std::vector<std::int64_t>{3});
-  EXPECT_EQ(fft_args, (std::vector<std::int64_t>{2, 2, 1, 1}));
+}
+
+// Edge plans through the normal operator, at nb 1 and 8 on pools of 1 and 2
+// contexts (so both the whole-slice and the row-split schedule run): a plan
+// with no samples applies as the zero operator, and one with a single sample
+// matches its forward/adjoint pair.
+TEST(Toeplitz, ZeroAndOneSamplePlans) {
+  for (const int dim : {2, 3}) {
+    const index_t n = dim == 3 ? 8 : 16;
+    const GridDesc g = make_grid(dim, n, 2.0);
+    for (const index_t count : {0, 1}) {
+      datasets::SampleSet set;
+      set.dim = dim;
+      set.m = g.m[0];
+      set.k = count;
+      set.s = 1;
+      for (int d = 0; d < dim; ++d) {
+        for (index_t i = 0; i < count; ++i) {
+          set.coords[static_cast<std::size_t>(d)].push_back(3.3f + 4.1f * static_cast<float>(d));
+        }
+      }
+      Nufft plan(g, set, PlanConfig{});
+      const auto ni = static_cast<std::size_t>(g.image_elems());
+      for (const int width : {1, 2}) {
+        ThreadPool pool(width);
+        Workspace ws = plan.make_workspace(8);
+        const ToeplitzNormal normal(plan, ws, pool);
+        for (const index_t nb : {1, 8}) {
+          const std::string what = "d" + std::to_string(dim) + " samples " +
+                                   std::to_string(count) + " pool " + std::to_string(width) +
+                                   " nb " + std::to_string(nb);
+          std::vector<cvecf> x, got(static_cast<std::size_t>(nb), cvecf(ni));
+          std::vector<const cfloat*> in;
+          std::vector<cfloat*> out;
+          for (index_t b = 0; b < nb; ++b) {
+            x.push_back(testing::random_image(g.image_elems(), 60 + static_cast<std::uint64_t>(b)));
+            in.push_back(x.back().data());
+            out.push_back(got[static_cast<std::size_t>(b)].data());
+          }
+          normal.apply(in.data(), out.data(), nb, ws, pool);
+          for (std::size_t b = 0; b < got.size(); ++b) {
+            if (count == 0) {
+              for (const cfloat v : got[b]) ASSERT_EQ(v, cfloat(0.0f, 0.0f)) << what;
+              continue;
+            }
+            cvecf raw(1);
+            cvecf via_pair(ni);
+            plan.forward(x[b].data(), raw.data(), ws, pool);
+            plan.adjoint(raw.data(), via_pair.data(), ws, pool);
+            EXPECT_LT(testing::rel_err(got[b].data(), via_pair.data(), g.image_elems()), 2e-3)
+                << what << " slice " << b;
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(Toeplitz, ApplyAfterInPlaceUpdateThrows) {
